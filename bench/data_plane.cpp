@@ -14,8 +14,8 @@
 //   3. signature engine ns/byte — the baseline node-per-state Aho–Corasick
 //      vs the flat premultiplied table, single-stream and 4-lane batch
 //      (the form the data plane drives); the batch must be >= 2x baseline.
-//   4. run-to-completion headline — sessions/sec and payload bytes/sec of
-//      the arena/SPSC-ring replay on a probe-heavy trace (16 B payloads,
+//   4. replay headline — sessions/sec and payload bytes/sec of the sharded
+//      replay the control loop runs, on a probe-heavy trace (16 B payloads,
 //      one packet per direction), with a worker-scaling table.  The
 //      serial/parallel byte-identity check is enforced unconditionally
 //      (mismatch = exit 1); NWLB_BENCH_ENFORCE=1 additionally fails the
@@ -285,11 +285,11 @@ int main() {
         .cell(stats_identical(serial_stats, parallel_stats) ? "yes" : "NO");
   }
 
-  // --- 3. Run-to-completion headline: end-to-end sessions/sec through the
-  // full sharded data plane (decide -> payload -> engines -> tunnels) on a
+  // --- 3. Replay headline: end-to-end sessions/sec through the full
+  // sharded data plane (decide -> payload -> engines -> tunnels) on a
   // probe-heavy trace, targeting >= 1M sessions/sec. ---
-  util::Table rtc_table({"Workers", "Sessions", "Packets", "Sec", "SessionsPerSec",
-                         "BytesPerSec", "Identical"});
+  util::Table scaling_table({"Workers", "Sessions", "Packets", "Sec", "SessionsPerSec",
+                             "BytesPerSec", "Identical"});
   double headline_sps = 0.0, headline_bps = 0.0;
   bool identity_ok = true;
   {
@@ -325,13 +325,12 @@ int main() {
     std::optional<sim::ReplayStats> serial_stats;
     for (const int w : {1, 2, 4, 8}) {
       sim::ReplayOptions opts;
-      opts.run_to_completion = true;
       opts.num_workers = w;
-      sim::ReplaySimulator rtc(input, bundle, opts);
+      sim::ReplaySimulator simulator(input, bundle, opts);
       const auto start = std::chrono::steady_clock::now();
-      rtc.replay(trace, generator);
+      simulator.replay(trace, generator);
       const double sec = seconds_since(start);
-      const sim::ReplayStats stats = rtc.stats();
+      const sim::ReplayStats stats = simulator.stats();
       const double sps = static_cast<double>(trace.size()) / sec;
       const double bps = payload_bytes_total / sec;
       bool identical = true;
@@ -345,7 +344,7 @@ int main() {
         headline_sps = sps;
         headline_bps = bps;
       }
-      rtc_table.row()
+      scaling_table.row()
           .cell(w)
           .cell(trace.size())
           .cell(stats.packets_replayed)
@@ -362,8 +361,8 @@ int main() {
   bench::print_table(decide_table);
   std::cout << "-- replay throughput (Identical must be yes) --\n";
   bench::print_table(replay_table);
-  std::cout << "-- run-to-completion headline (SessionsPerSec vs 1M target) --\n";
-  bench::print_table(rtc_table);
+  std::cout << "-- replay headline (SessionsPerSec vs 1M target) --\n";
+  bench::print_table(scaling_table);
   std::cout << "-- LP solve (context for the configs above) --\n";
   bench::print_table(lp_table);
 
@@ -378,20 +377,20 @@ int main() {
       .scalar("sessions_per_sec", headline_sps)
       .scalar("bytes_per_sec", headline_bps)
       .scalar("target_sessions_per_sec", 1'000'000.0)
-      .scalar("rtc_identity_ok", identity_ok ? std::string("yes") : std::string("no"))
+      .scalar("identity_ok", identity_ok ? std::string("yes") : std::string("no"))
       .scalar("ac_count_matches_speedup", ac_speedup)
       .scalar("checksum", static_cast<long long>(checksum & 0x7fffffff))
       .table("signature_ns_per_byte", ac_table)
       .table("decide_ns", decide_table)
       .table("replay_throughput", replay_table)
-      .table("rtc_scaling", rtc_table)
+      .table("replay_scaling", scaling_table)
       .table("lp_solve", lp_table);
   report.write_if_requested();
 
   // The byte-identity invariant is a correctness property, not a perf
   // target: a mismatch fails the bench no matter what was requested.
   if (!identity_ok) {
-    std::cerr << "FAIL: run-to-completion serial/parallel ReplayStats mismatch\n";
+    std::cerr << "FAIL: headline serial/parallel ReplayStats mismatch\n";
     return 1;
   }
   if (util::env_flag("NWLB_BENCH_ENFORCE")) {

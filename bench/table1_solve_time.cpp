@@ -109,11 +109,13 @@ int main() {
         .cell(total_iterations(warm))
         .cell(cold.lp.solve_seconds, 3)
         .cell(warm.lp.solve_seconds, 3)
+        // A warm re-solve that needs no pivots is the best case, not "no
+        // speedup": print inf (a JSON string, since inf is no JSON number).
         .cell(total_iterations(warm) > 0
-                  ? static_cast<double>(total_iterations(cold)) /
-                        static_cast<double>(total_iterations(warm))
-                  : 0.0,
-              2);
+                  ? util::format_double(static_cast<double>(total_iterations(cold)) /
+                                            static_cast<double>(total_iterations(warm)),
+                                        2)
+                  : std::string("inf"));
   }
   bench::print_table(table);
   std::cout << "-- re-solve after MaxLinkLoad drift (0.4 -> 0.45) --\n";

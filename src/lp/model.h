@@ -53,8 +53,8 @@ class Model {
   /// Appends a coefficient to an existing row.
   void add_coefficient(RowId row, VarId var, double coef);
 
-  /// In-place edits (used by the MPS reader, presolve, and re-optimization
-  /// flows that keep the model shape while moving data).
+  /// In-place edits (used by the MPS reader and re-optimization flows that
+  /// keep the model shape while moving data).
   void set_cost(VarId var, double cost);
   void set_bounds(VarId var, double lower, double upper);
   void set_rhs(RowId row, double rhs);

@@ -7,12 +7,11 @@
 // sequence gaps so operators can see replication loss.
 //
 // Two API shapes share one wire format and one accounting path:
-//   * owning (encapsulate -> vector, decapsulate -> Packet) for tests,
-//     tools, and the classic replay loop;
-//   * view-based (encapsulate_into a caller-provided slot,
-//     try_decapsulate_view -> PacketView into the frame) for the
-//     run-to-completion replay, which stages frames in SPSC ring slots and
-//     never allocates per frame.
+//   * owning (encapsulate -> vector, decapsulate -> Packet), which the
+//     tunnel tests drive;
+//   * view-based (encapsulate_into a caller-provided buffer,
+//     try_decapsulate_view -> PacketView into the frame) for the replay
+//     loop, which reuses one frame buffer per shard.
 #pragma once
 
 #include <cstddef>
@@ -56,8 +55,8 @@ class TunnelSender {
   /// Frames one packet: header + 5-tuple + direction + session id + payload.
   std::vector<std::byte> encapsulate(const nids::Packet& packet);
 
-  /// Frames one packet into caller-provided storage (an SPSC ring slot)
-  /// and returns the frame size.  `out` must hold at least
+  /// Frames one packet into caller-provided storage and returns the frame
+  /// size.  `out` must hold at least
   /// wire_size(packet.payload.size()) bytes.  Identical wire bytes and
   /// sequence/byte accounting to encapsulate().
   std::size_t encapsulate_into(const nids::PacketView& packet, std::span<std::byte> out);

@@ -18,16 +18,6 @@
 // double (the cost model charges integral work units), so floating-point
 // merges are exact — ReplayStats is byte-identical for any worker count.
 //
-// Run-to-completion mode (ReplayOptions::run_to_completion): the raw-speed
-// variant of the sharded replay.  Each shard owns a bump arena for payload
-// scratch and ring storage, stamps replicated frames straight into
-// fixed-size per-mirror SPSC rings, and drains them at natural batch
-// boundaries (end of a session direction, or a full ring) — no per-packet
-// or per-frame heap allocation and zero shared atomics until the
-// end-of-epoch merge.  Because per-sender frame order is preserved and all
-// accumulators are commutative, its ReplayStats are byte-identical to the
-// classic mode.
-//
 // Failure injection: a FailureSchedule times node crashes, mirror
 // blackholes, and link outages in global-session-index space, so the set
 // of failures a session observes is a pure function of its position in
@@ -93,19 +83,6 @@ struct ReplayOptions {
   /// 0 = one per hardware thread (capped).  Any value produces the same
   /// ReplayStats, byte for byte.
   int num_workers = 1;
-
-  /// Run-to-completion data-plane mode: each shard materializes packet
-  /// payloads into arena scratch (no per-packet heap traffic) and stages
-  /// replicated frames in fixed-size per-mirror SPSC rings, draining them
-  /// at the end of each session direction instead of decapsulating inline.
-  /// Per-sender frame order and every accumulated quantity are unchanged,
-  /// so ReplayStats stays byte-identical to the classic mode for any
-  /// worker count.
-  bool run_to_completion = false;
-  /// Ring capacity (frames per mirror ring) in run-to-completion mode,
-  /// rounded up to a power of two.  A full ring drains in place, so small
-  /// capacities are correct — just less batched.
-  std::size_t rtc_ring_frames = 256;
 
   /// Timed crash/blackhole/link events; must outlive the simulator.
   /// Null = no injected failures.
@@ -294,9 +271,6 @@ class ReplaySimulator {
                         bool fail_open_admitted, const TraceGenerator& generator,
                         nids::Direction direction, int packets,
                         nwlb::util::Rng& loss_rng) const;
-  /// Run-to-completion drain point: decapsulates and processes every frame
-  /// staged in `mirror`'s ring (FIFO).
-  void drain_ring(Shard& shard, std::size_t mirror) const;
   void merge(Shard& shard) NWLB_REQUIRES(reconcile_);
   void mark_mirror_targets(const std::vector<shim::ShimConfig>& configs);
   void update_health(std::uint64_t window_last_index) NWLB_REQUIRES(reconcile_);

@@ -116,19 +116,18 @@ TEST(FlatConfig, EmptyAndMissingClassesIgnore) {
             Action::Kind::kIgnore);
 }
 
-TEST(FlatConfig, BatchAgreesWithScalarLookups) {
-  nwlb::util::Rng rng(0xba7c);
-  const ShimConfig config = random_config(rng);
-  const FlatConfig flat(config);
-  std::vector<std::uint32_t> hashes(4096);
-  for (auto& h : hashes) h = static_cast<std::uint32_t>(rng());
-  std::vector<Action> out(hashes.size());
-  flat.lookup_batch(3, nids::Direction::kForward, hashes, out);
-  for (std::size_t i = 0; i < hashes.size(); ++i)
-    ASSERT_EQ(out[i], flat.lookup(3, nids::Direction::kForward, hashes[i]));
+/// A random TCP 5-tuple.
+nids::FiveTuple random_tuple(nwlb::util::Rng& rng) {
+  nids::FiveTuple t;
+  t.src_ip = static_cast<std::uint32_t>(rng());
+  t.dst_ip = static_cast<std::uint32_t>(rng());
+  t.src_port = static_cast<std::uint16_t>(rng());
+  t.dst_port = static_cast<std::uint16_t>(rng());
+  t.protocol = 6;
+  return t;
 }
 
-TEST(Shim, HashedBatchMatchesScalarDecideAndCountsPackets) {
+TEST(Shim, ScalarDecideMatchesTableAndCountsPackets) {
   ShimConfig config;
   RangeTable table;
   table.add(HashRange{0, kHashSpace / 2, Action::process()});
@@ -138,34 +137,51 @@ TEST(Shim, HashedBatchMatchesScalarDecideAndCountsPackets) {
   shim.install(config);  // nwlb-lint: allow(raw-shim-install)
 
   nwlb::util::Rng rng(5);
-  std::vector<nids::FiveTuple> tuples(256);
-  for (auto& t : tuples) {
-    t.src_ip = static_cast<std::uint32_t>(rng());
-    t.dst_ip = static_cast<std::uint32_t>(rng());
-    t.src_port = static_cast<std::uint16_t>(rng());
-    t.dst_port = static_cast<std::uint16_t>(rng());
-    t.protocol = 6;
-  }
-
-  ShimStats batch_stats;
-  std::vector<Decision> decisions(tuples.size());
-  shim.decide_batch(0, nids::Direction::kForward, tuples, decisions, batch_stats);
-  EXPECT_EQ(batch_stats.packets_seen, tuples.size());
-
-  ShimStats hashed_stats;
-  std::vector<std::uint32_t> hashes(tuples.size());
-  for (std::size_t i = 0; i < tuples.size(); ++i) hashes[i] = hash_tuple(tuples[i]);
-  std::vector<Action> actions(tuples.size());
-  shim.decide_hashed_batch(0, nids::Direction::kForward, hashes, actions, hashed_stats);
-  EXPECT_EQ(hashed_stats.packets_seen, tuples.size());
-
   ShimStats scalar_stats;
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    const Decision d =
-        shim.decide(0, tuples[i], nids::Direction::kForward, scalar_stats);
-    ASSERT_EQ(decisions[i].action, d.action);
-    ASSERT_EQ(decisions[i].hash, d.hash);
-    ASSERT_EQ(actions[i], d.action);
+  for (int i = 0; i < 256; ++i) {
+    const nids::FiveTuple tuple = random_tuple(rng);
+    const Decision d = shim.decide(0, tuple, nids::Direction::kForward, scalar_stats);
+    ASSERT_EQ(d.hash, hash_tuple(tuple));
+    ASSERT_EQ(d.action, config.lookup(0, nids::Direction::kForward, d.hash));
+  }
+  EXPECT_EQ(scalar_stats.packets_seen, 256u);
+}
+
+TEST(Shim, DecideHashedRepeatMatchesScalarDecides) {
+  // The replay decides a session direction once and accounts its packets
+  // arithmetically; that must equal deciding every packet on its own.
+  nwlb::util::Rng rng(0x2e9ea7);
+  for (int config_trial = 0; config_trial < 5; ++config_trial) {
+    const ShimConfig config = random_config(rng);
+    Shim shim(0);
+    shim.install(config);  // nwlb-lint: allow(raw-shim-install)
+    for (int trial = 0; trial < 200; ++trial) {
+      // The first trials pin the edges: an unknown (negative) class id and
+      // an empty run.
+      const int class_id = trial == 0 ? -1 : static_cast<int>(rng.range(-1, 45));
+      const std::uint64_t count = trial == 1 ? 0 : rng.below(40);
+      const auto dir =
+          rng.bernoulli(0.5) ? nids::Direction::kForward : nids::Direction::kReverse;
+      const nids::FiveTuple tuple = random_tuple(rng);
+      const std::uint32_t hash = hash_tuple(tuple);
+
+      ShimStats scalar_stats;
+      Action scalar_action = shim.flat().lookup(class_id, dir, hash);
+      for (std::uint64_t k = 0; k < count; ++k) {
+        const Decision d = shim.decide(class_id, tuple, dir, scalar_stats);
+        ASSERT_EQ(d.hash, hash);
+        scalar_action = d.action;
+      }
+      ShimStats repeat_stats;
+      const Action action =
+          shim.decide_hashed_repeat(class_id, dir, hash, count, repeat_stats);
+      ASSERT_EQ(action, scalar_action) << "class=" << class_id << " hash=" << hash;
+      EXPECT_EQ(repeat_stats.packets_seen, scalar_stats.packets_seen);
+      EXPECT_EQ(repeat_stats.decided_process, scalar_stats.decided_process);
+      EXPECT_EQ(repeat_stats.decided_replicate, scalar_stats.decided_replicate);
+      EXPECT_EQ(repeat_stats.decided_ignore, scalar_stats.decided_ignore);
+      EXPECT_EQ(repeat_stats.replicated_bytes, scalar_stats.replicated_bytes);
+    }
   }
 }
 
