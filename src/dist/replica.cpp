@@ -8,6 +8,11 @@
 
 namespace nwlb::dist {
 
+namespace {
+// Gossip peers contacted per replica per round.
+constexpr int kGossipFanout = 2;
+}  // namespace
+
 const char* to_string(Role role) {
   switch (role) {
     case Role::kFollower: return "follower";
@@ -34,7 +39,6 @@ Replica::Replica(int id, int num_replicas, const topo::Topology& topology,
              " out of range for ", num_replicas, " replicas");
   NWLB_CHECK_GE(options.lease_ticks, std::uint64_t{1},
                 "Replica: the lease must cover at least one tick");
-  NWLB_CHECK_GE(options.gossip_fanout, 0, "Replica: negative gossip fanout");
 }
 
 void Replica::begin_interval(std::uint64_t tick, EstimatePartial own) {
@@ -75,10 +79,8 @@ void Replica::run_round(MessageBus& bus, std::uint64_t tick, int round,
 
 int Replica::end_interval(std::uint64_t tick) {
   (void)tick;
-  // The estimator's partial hooks own the digest merge, so this code path
-  // is identical for every registered estimator kind: sum the heard
-  // per-origin slices, then fold the digest through whatever state
-  // machine the spec selected.
+  // The estimator's partial hooks own the digest merge: sum the heard
+  // per-origin slices, then fold the digest.
   estimator_->begin_partials();
   int heard = 0;
   for (const auto& partial : heard_) {
@@ -257,11 +259,11 @@ void Replica::broadcast_heartbeat(MessageBus& bus, std::uint64_t tick) {
 }
 
 void Replica::gossip(MessageBus& bus, std::uint64_t tick, int round) {
-  if (num_replicas_ == 1 || options_.gossip_fanout <= 0) return;
+  if (num_replicas_ == 1) return;
   std::vector<EstimatePartial> known;
   for (const auto& partial : heard_)
     if (partial) known.push_back(*partial);
-  for (int k = 0; k < options_.gossip_fanout; ++k) {
+  for (int k = 0; k < kGossipFanout; ++k) {
     // Stateless peer draw keyed on (seed, tick, id, round, k): identical
     // across reruns, different across rounds so coverage spreads.
     std::uint64_t s = util::derive_seed(options_.seed, 0x9055ULL);

@@ -1,7 +1,7 @@
 // One simulated controller replica (DESIGN.md §13).
 //
 // Each replica owns a full control plane — a core::Controller and an
-// online::Estimator (any registered kind, built from the configured spec)
+// online::Estimator (either kind, built from the configured spec)
 // — plus the consensus state that coordinates N of them into one logical
 // controller:
 //
@@ -54,9 +54,6 @@ struct ReplicaOptions {
   /// that cannot renew within this horizon loses install rights and the
   /// cluster re-elects — the failover time under a leader crash.
   std::uint64_t lease_ticks = 3;
-
-  /// Gossip peers contacted per replica per round.
-  int gossip_fanout = 2;
 
   /// Seed for the gossip peer-selection hash draws.
   std::uint64_t seed = 0xd157;
@@ -112,8 +109,8 @@ class Replica {
 
   // --- Digest / estimate -------------------------------------------------
   int replicas_heard() const;
-  /// The summed digest the estimator last folded (the interface's merged
-  /// partial sums — valid after end_interval()).
+  /// The summed digest the estimator last folded (its merged partial
+  /// sums — valid after end_interval()).
   const std::vector<std::uint64_t>& digest_sessions() const {
     return estimator_->merged_sessions();
   }

@@ -4,19 +4,19 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace nwlb::online {
 
 namespace {
 
-constexpr std::array<std::string_view, 3> kKinds = {"ewma", "holt-winters",
-                                                    "var-ewma"};
+constexpr std::array<std::string_view, 2> kKinds = {"ewma", "var-ewma"};
 
 constexpr std::string_view kGrammar =
     "estimator spec grammar: kind[:key=value[,key=value]...] with kind in "
-    "{ewma, holt-winters, var-ewma} and keys {window, trend-window, "
-    "headroom, cap, burst, floor, scale}";
+    "{ewma, var-ewma} and keys {window, trend-window, headroom, cap, floor, "
+    "scale}";
 
 [[noreturn]] void reject(std::string_view spec, const std::string& why) {
   throw std::invalid_argument("estimator spec \"" + std::string(spec) + "\": " +
@@ -37,282 +37,18 @@ double parse_number(std::string_view spec, std::string_view key,
 int parse_int(std::string_view spec, std::string_view key,
               std::string_view value) {
   const double parsed = parse_number(spec, key, value);
-  const int as_int = static_cast<int>(parsed);
-  if (static_cast<double>(as_int) != parsed)
-    reject(spec, "value for key '" + std::string(key) + "' must be an integer");
-  return as_int;
+  // Range-check before the cast: converting a NaN or out-of-range double
+  // to int is undefined behaviour.
+  if (!(parsed >= std::numeric_limits<int>::min() &&
+        parsed <= std::numeric_limits<int>::max()) ||
+      parsed != std::trunc(parsed))
+    reject(spec, "value for key '" + std::string(key) +
+                     "' must be an integer in int range");
+  return static_cast<int>(parsed);
 }
 
-// ---- Shared per-class smoothing machinery ---------------------------------
-//
-// Every registered estimator shares the windowed shape: one state slot per
-// traffic class, a warm-up-corrected smoothing weight, the plain
-// sessions/bytes EWMAs behind bytes_per_session(), and the floor+anchor
-// matrix assembly.  Subclasses supply the per-class rate forecast and an
-// optional headroom fraction.
-class WindowedEstimator : public Estimator {
- public:
-  WindowedEstimator(std::string_view kind,
-                    const std::vector<traffic::TrafficClass>& classes,
-                    int num_pops, const EstimatorOptions& options)
-      : kind_(kind), options_(options), num_pops_(num_pops) {
-    validate_estimator_options(options);
-    if (num_pops < 1)
-      throw std::invalid_argument("Estimator: num_pops must be >= 1");
-    alpha_ = 2.0 / (static_cast<double>(options.window) + 1.0);
-    pairs_.reserve(classes.size());
-    for (const traffic::TrafficClass& cls : classes) {
-      if (cls.ingress < 0 || cls.ingress >= num_pops || cls.egress < 0 ||
-          cls.egress >= num_pops)
-        throw std::invalid_argument("Estimator: class pair outside PoP range");
-      pairs_.push_back({cls.ingress, cls.egress});
-    }
-    mean_sessions_.assign(pairs_.size(), 0.0);
-    mean_bytes_.assign(pairs_.size(), 0.0);
-  }
-
-  void observe(std::span<const std::uint64_t> class_sessions,
-               std::span<const std::uint64_t> class_bytes) final {
-    if (class_sessions.size() != pairs_.size() ||
-        class_bytes.size() != pairs_.size())
-      throw std::invalid_argument("Estimator: counter span size mismatch");
-    // Warm-up bias correction: the first window seeds the state directly
-    // (a = 1), and for the next few windows the weight floors at the
-    // running-mean weight 1/(t+1).  A flash-crowd first window therefore
-    // cannot lock in an inflated scale anchor: it decays at least as fast
-    // as a sample mean would dilute it, regardless of how long the
-    // configured window is.
-    const double a =
-        std::max(alpha_, 1.0 / (static_cast<double>(intervals_) + 1.0));
-    for (std::size_t c = 0; c < pairs_.size(); ++c) {
-      const auto sessions = static_cast<double>(class_sessions[c]);
-      const auto bytes = static_cast<double>(class_bytes[c]);
-      // Subclass first: update() sees the *pre-fold* mean_rate(c) — the
-      // previous level — which is what an innovation is measured against.
-      update(c, a, sessions);
-      mean_sessions_[c] = a * sessions + (1.0 - a) * mean_sessions_[c];
-      mean_bytes_[c] = a * bytes + (1.0 - a) * mean_bytes_[c];
-    }
-    ++intervals_;
-  }
-
-  traffic::TrafficMatrix estimate() const final {
-    traffic::TrafficMatrix tm(num_pops_);
-    // Class-support floor: every pair the deployment was built with keeps
-    // a sliver of demand so the LP model shape never changes.
-    double total = 0.0;
-    for (std::size_t c = 0; c < pairs_.size(); ++c) total += rate(c);
-    const double mean =
-        pairs_.empty()
-            ? 0.0
-            : std::max(total / static_cast<double>(pairs_.size()), 1.0);
-    const double floor = options_.support_floor * mean;
-    std::vector<double> base(pairs_.size(), 0.0);
-    double raw = 0.0;
-    for (std::size_t c = 0; c < pairs_.size(); ++c) {
-      base[c] = std::max(rate(c), floor);
-      if (pairs_[c].ingress != pairs_[c].egress) raw += base[c];
-    }
-    // Scale anchoring first, headroom second: the tracked level mass is
-    // renormalized to the provisioned volume, then each class is inflated
-    // by its own burst headroom.  Inflating before anchoring would be a
-    // no-op — the renormalization divides it right back out.
-    const double factor =
-        (options_.scale_to_total > 0.0 && raw > 0.0)
-            ? options_.scale_to_total / raw
-            : 1.0;
-    for (std::size_t c = 0; c < pairs_.size(); ++c) {
-      if (pairs_[c].ingress == pairs_[c].egress) continue;
-      const double volume = base[c] * factor * (1.0 + headroom_fraction(c));
-      tm.set_volume(pairs_[c].ingress, pairs_[c].egress,
-                    tm.volume(pairs_[c].ingress, pairs_[c].egress) + volume);
-    }
-    return tm;
-  }
-
-  void reset() final {
-    intervals_ = 0;
-    std::fill(mean_sessions_.begin(), mean_sessions_.end(), 0.0);
-    std::fill(mean_bytes_.begin(), mean_bytes_.end(), 0.0);
-    reset_rates();
-  }
-
-  double class_rate(std::size_t class_index) const final {
-    if (class_index >= pairs_.size())
-      throw std::out_of_range("Estimator: class index out of range");
-    return rate(class_index);
-  }
-
-  double bytes_per_session(std::size_t class_index) const final {
-    const double sessions = mean_sessions_.at(class_index);
-    return sessions > 0.0 ? mean_bytes_.at(class_index) / sessions : 0.0;
-  }
-
-  int intervals_observed() const final { return intervals_; }
-  std::size_t num_classes() const final { return pairs_.size(); }
-  std::string_view kind() const final { return kind_; }
-  const EstimatorOptions& options() const final { return options_; }
-
- protected:
-  /// Folds one window's session count for class `c` with effective
-  /// smoothing weight `a` (already warm-up-corrected; a = 1 on the very
-  /// first window).  Called before intervals_observed() is bumped.
-  virtual void update(std::size_t c, double a, double sessions) = 0;
-  /// The per-class sessions-per-interval forecast.
-  virtual double rate(std::size_t c) const = 0;
-  /// Extra provisioned fraction for class `c` (0 = no headroom).
-  virtual double headroom_fraction(std::size_t c) const {
-    (void)c;
-    return 0.0;
-  }
-  /// Clears subclass rate state on reset().
-  virtual void reset_rates() = 0;
-
-  double mean_rate(std::size_t c) const { return mean_sessions_[c]; }
-  bool first_window() const { return intervals_ == 0; }
-
- private:
-  struct Pair {
-    int ingress;
-    int egress;
-  };
-  std::string_view kind_;  // Points into kKinds (static storage).
-  EstimatorOptions options_;
-  int num_pops_;
-  double alpha_;
-  std::vector<Pair> pairs_;
-  std::vector<double> mean_sessions_;  // Plain EWMA, warm-up corrected.
-  std::vector<double> mean_bytes_;     // Payload bytes/interval.
-  int intervals_ = 0;
-};
-
-// ---- ewma: the paper-faithful near-stationary baseline --------------------
-class EwmaEstimator final : public WindowedEstimator {
- public:
-  using WindowedEstimator::WindowedEstimator;
-
- protected:
-  // The base's plain EWMA *is* the rate — nothing extra to track.
-  void update(std::size_t, double, double) override {}
-  double rate(std::size_t c) const override { return mean_rate(c); }
-  void reset_rates() override {}
-};
-
-// ---- holt-winters: level + trend, forecast = level + trend ----------------
-class HoltWintersEstimator final : public WindowedEstimator {
- public:
-  HoltWintersEstimator(const std::vector<traffic::TrafficClass>& classes,
-                       int num_pops, const EstimatorOptions& options)
-      : WindowedEstimator("holt-winters", classes, num_pops, options),
-        beta_(2.0 / (static_cast<double>(options.trend_window) + 1.0)),
-        level_(num_classes(), 0.0),
-        trend_(num_classes(), 0.0) {}
-
- protected:
-  void update(std::size_t c, double a, double sessions) override {
-    if (first_window()) {
-      level_[c] = sessions;
-      trend_[c] = 0.0;
-      return;
-    }
-    const double prev = level_[c];
-    level_[c] = a * sessions + (1.0 - a) * (prev + trend_[c]);
-    trend_[c] = beta_ * (level_[c] - prev) + (1.0 - beta_) * trend_[c];
-  }
-  // One-step forecast; a collapsing class's negative trend must not drive
-  // the rate below zero (the support floor re-floors it anyway).
-  double rate(std::size_t c) const override {
-    return std::max(0.0, level_[c] + trend_[c]);
-  }
-  void reset_rates() override {
-    std::fill(level_.begin(), level_.end(), 0.0);
-    std::fill(trend_.begin(), trend_.end(), 0.0);
-  }
-
- private:
-  double beta_;
-  std::vector<double> level_;
-  std::vector<double> trend_;
-};
-
-// ---- var-ewma: EWMA level + innovation variance -> burst response ---------
-//
-// The tracked variance is used twice:
-//   * burst onset detection — an UP innovation beyond burst_sigmas·σ̂
-//     snaps the level to the observation, because under long-range
-//     dependence a jump that large marks the start of a sustained episode
-//     and smoothing into it at alpha costs several windows of
-//     under-provisioning (the tail windows the selfsimilar_tracking bench
-//     prices).  Ordinary innovations smooth exactly like plain ewma, so
-//     calm-traffic plans — and therefore rollout churn — stay identical.
-//   * headroom — the estimate is inflated by k·σ̂/level (capped) so the
-//     LP keeps a hedge on the classes that have recently been volatile.
-class VarEwmaEstimator final : public WindowedEstimator {
- public:
-  VarEwmaEstimator(const std::vector<traffic::TrafficClass>& classes,
-                   int num_pops, const EstimatorOptions& options)
-      : WindowedEstimator("var-ewma", classes, num_pops, options),
-        // The second moment gets its own, slower smoothing constant
-        // (trend_window doubles as the variance window here): headroom is
-        // meant to track *which classes are bursty*, a slowly-changing
-        // property, and a jittery sigma-hat would translate straight into
-        // rollout churn.
-        var_alpha_(2.0 / (static_cast<double>(options.trend_window) + 1.0)),
-        level_(num_classes(), 0.0),
-        var_(num_classes(), 0.0),
-        headroom_(num_classes(), 0.0) {}
-
- protected:
-  void update(std::size_t c, double a, double sessions) override {
-    if (first_window()) {
-      level_[c] = sessions;
-      return;
-    }
-    const double innovation = sessions - level_[c];
-    // Sigma-hat from *past* innovations only — the trigger must compare
-    // this window's jump against what was normal before it.
-    const double sigma = std::sqrt(var_[c]);
-    // Same warm-up floor as the level: the first innovation seeds the
-    // variance outright instead of being scaled by a tiny alpha.
-    const double av = std::max(
-        var_alpha_, 1.0 / static_cast<double>(intervals_observed()));
-    var_[c] = av * innovation * innovation + (1.0 - av) * var_[c];
-    const bool burst = options().burst_sigmas > 0.0 &&
-                       intervals_observed() >= 2 &&
-                       innovation > options().burst_sigmas * sigma;
-    level_[c] = burst ? sessions : level_[c] + a * innovation;
-
-    // Quantize the headroom fraction to coarse steps with hysteresis
-    // (a Schmitt trigger): sigma-hat drifts a little every window, and
-    // feeding that drift straight into the LP re-tilts the plan — and
-    // re-shuffles the hash space — for no provisioning benefit.  The
-    // published fraction only moves once the raw value is clearly past
-    // the current step, so within-step jitter is bit-stable.
-    if (level_[c] > 0.0) {
-      const double raw =
-          std::min(options().headroom_cap,
-                   options().headroom_sigmas * std::sqrt(var_[c]) / level_[c]);
-      if (std::abs(raw - headroom_[c]) > 0.7 * kHeadroomStep)
-        headroom_[c] = kHeadroomStep * std::floor(raw / kHeadroomStep + 0.5);
-    }
-  }
-  double rate(std::size_t c) const override { return level_[c]; }
-  double headroom_fraction(std::size_t c) const override {
-    return headroom_[c];
-  }
-  void reset_rates() override {
-    std::fill(level_.begin(), level_.end(), 0.0);
-    std::fill(var_.begin(), var_.end(), 0.0);
-    std::fill(headroom_.begin(), headroom_.end(), 0.0);
-  }
-
- private:
-  static constexpr double kHeadroomStep = 0.05;
-  double var_alpha_;
-  std::vector<double> level_;
-  std::vector<double> var_;
-  std::vector<double> headroom_;
-};
+// var-ewma publishes its headroom fraction in steps of this size.
+constexpr double kHeadroomStep = 0.05;
 
 }  // namespace
 
@@ -339,11 +75,142 @@ void validate_estimator_options(const EstimatorOptions& options) {
   if (!(options.headroom_cap >= 0.0) || !std::isfinite(options.headroom_cap))
     throw std::invalid_argument(
         "EstimatorOptions: headroom_cap must be finite and >= 0");
-  if (!(options.burst_sigmas >= 0.0) || !std::isfinite(options.burst_sigmas))
-    throw std::invalid_argument(
-        "EstimatorOptions: burst_sigmas must be finite and >= 0 (0 disables "
-        "the burst trigger)");
 }
+
+Estimator::Estimator(const EstimatorSpec& spec,
+                     const std::vector<traffic::TrafficClass>& classes,
+                     int num_pops)
+    : options_(spec.options),
+      var_ewma_(spec.kind == "var-ewma"),
+      num_pops_(num_pops),
+      alpha_(2.0 / (static_cast<double>(spec.options.window) + 1.0)),
+      // The second moment gets its own, slower smoothing constant:
+      // headroom is meant to track *which classes are bursty*, a
+      // slowly-changing property, and a jittery sigma-hat would translate
+      // straight into rollout churn.
+      var_alpha_(2.0 / (static_cast<double>(spec.options.trend_window) + 1.0)) {
+  if (!var_ewma_ && spec.kind != "ewma")
+    throw std::invalid_argument("Estimator: unknown kind '" + spec.kind + "'");
+  validate_estimator_options(options_);
+  if (num_pops < 1)
+    throw std::invalid_argument("Estimator: num_pops must be >= 1");
+  pairs_.reserve(classes.size());
+  for (const traffic::TrafficClass& cls : classes) {
+    if (cls.ingress < 0 || cls.ingress >= num_pops || cls.egress < 0 ||
+        cls.egress >= num_pops)
+      throw std::invalid_argument("Estimator: class pair outside PoP range");
+    pairs_.push_back({cls.ingress, cls.egress});
+  }
+  mean_sessions_.assign(pairs_.size(), 0.0);
+  mean_bytes_.assign(pairs_.size(), 0.0);
+  var_.assign(pairs_.size(), 0.0);
+  headroom_.assign(pairs_.size(), 0.0);
+}
+
+void Estimator::observe(std::span<const std::uint64_t> class_sessions,
+                        std::span<const std::uint64_t> class_bytes) {
+  if (class_sessions.size() != pairs_.size() ||
+      class_bytes.size() != pairs_.size())
+    throw std::invalid_argument("Estimator: counter span size mismatch");
+  // Warm-up bias correction: the first window seeds the state directly
+  // (a = 1), and for the next few windows the weight floors at the
+  // running-mean weight 1/(t+1).  A flash-crowd first window therefore
+  // cannot lock in an inflated scale anchor: it decays at least as fast
+  // as a sample mean would dilute it, regardless of how long the
+  // configured window is.
+  const double a =
+      std::max(alpha_, 1.0 / (static_cast<double>(intervals_) + 1.0));
+  for (std::size_t c = 0; c < pairs_.size(); ++c) {
+    const auto sessions = static_cast<double>(class_sessions[c]);
+    const auto bytes = static_cast<double>(class_bytes[c]);
+    // The innovation is measured against the previous level.
+    const double innovation = sessions - mean_sessions_[c];
+    // One level for both kinds, folded in two algebraically equal forms:
+    // each kind keeps the rounding its selfsimilar_tracking cells were
+    // measured with, because the max-load LP's near-degenerate vertices
+    // turn even a last-ulp change in the level into a different plan.
+    mean_sessions_[c] = var_ewma_
+                            ? mean_sessions_[c] + a * innovation
+                            : a * sessions + (1.0 - a) * mean_sessions_[c];
+    mean_bytes_[c] = a * bytes + (1.0 - a) * mean_bytes_[c];
+    if (var_ewma_ && intervals_ > 0) track_headroom(c, innovation);
+  }
+  ++intervals_;
+}
+
+void Estimator::track_headroom(std::size_t c, double innovation) {
+  // Same warm-up floor as the level: the first innovation seeds the
+  // variance outright instead of being scaled by a tiny alpha.
+  const double av =
+      std::max(var_alpha_, 1.0 / static_cast<double>(intervals_));
+  var_[c] = av * innovation * innovation + (1.0 - av) * var_[c];
+  // Quantize the headroom fraction to coarse steps with hysteresis (a
+  // Schmitt trigger): sigma-hat drifts a little every window, and feeding
+  // that drift straight into the LP re-tilts the plan — and re-shuffles
+  // the hash space — for no provisioning benefit.  The published fraction
+  // only moves once the raw value is clearly past the current step, so
+  // within-step jitter is bit-stable.
+  const double level = mean_sessions_[c];
+  if (level <= 0.0) return;
+  const double raw =
+      std::min(options_.headroom_cap,
+               options_.headroom_sigmas * std::sqrt(var_[c]) / level);
+  if (std::abs(raw - headroom_[c]) > 0.7 * kHeadroomStep)
+    headroom_[c] = kHeadroomStep * std::floor(raw / kHeadroomStep + 0.5);
+}
+
+traffic::TrafficMatrix Estimator::estimate() const {
+  traffic::TrafficMatrix tm(num_pops_);
+  // Class-support floor: every pair the deployment was built with keeps a
+  // sliver of demand so the LP model shape never changes.
+  double total = 0.0;
+  for (const double rate : mean_sessions_) total += rate;
+  const double mean =
+      pairs_.empty() ? 0.0
+                     : std::max(total / static_cast<double>(pairs_.size()), 1.0);
+  const double floor = options_.support_floor * mean;
+  std::vector<double> base(pairs_.size(), 0.0);
+  double raw = 0.0;
+  for (std::size_t c = 0; c < pairs_.size(); ++c) {
+    base[c] = std::max(mean_sessions_[c], floor);
+    if (pairs_[c].ingress != pairs_[c].egress) raw += base[c];
+  }
+  // Scale anchoring first, headroom second: the tracked level mass is
+  // renormalized to the provisioned volume, then each class is inflated
+  // by its own burst headroom.  Inflating before anchoring would be a
+  // no-op — the renormalization divides it right back out.
+  const double factor = (options_.scale_to_total > 0.0 && raw > 0.0)
+                            ? options_.scale_to_total / raw
+                            : 1.0;
+  for (std::size_t c = 0; c < pairs_.size(); ++c) {
+    if (pairs_[c].ingress == pairs_[c].egress) continue;
+    const double volume = base[c] * factor * (1.0 + headroom_[c]);
+    tm.set_volume(pairs_[c].ingress, pairs_[c].egress,
+                  tm.volume(pairs_[c].ingress, pairs_[c].egress) + volume);
+  }
+  return tm;
+}
+
+void Estimator::reset() {
+  intervals_ = 0;
+  std::fill(mean_sessions_.begin(), mean_sessions_.end(), 0.0);
+  std::fill(mean_bytes_.begin(), mean_bytes_.end(), 0.0);
+  std::fill(var_.begin(), var_.end(), 0.0);
+  std::fill(headroom_.begin(), headroom_.end(), 0.0);
+}
+
+double Estimator::class_rate(std::size_t class_index) const {
+  if (class_index >= pairs_.size())
+    throw std::out_of_range("Estimator: class index out of range");
+  return mean_sessions_[class_index];
+}
+
+double Estimator::bytes_per_session(std::size_t class_index) const {
+  const double sessions = mean_sessions_.at(class_index);
+  return sessions > 0.0 ? mean_bytes_.at(class_index) / sessions : 0.0;
+}
+
+std::string_view Estimator::kind() const { return kKinds[var_ewma_ ? 1 : 0]; }
 
 double Estimator::estimation_error(const traffic::TrafficMatrix& oracle) const {
   return online::estimation_error(estimate(), oracle);
@@ -407,8 +274,6 @@ EstimatorSpec parse_estimator_spec(std::string_view spec,
       parsed.options.support_floor = parse_number(spec, key, value);
     else if (key == "scale")
       parsed.options.scale_to_total = parse_number(spec, key, value);
-    else if (key == "burst")
-      parsed.options.burst_sigmas = parse_number(spec, key, value);
     else
       reject(spec, "unknown key '" + std::string(key) + "'");
   }
@@ -423,16 +288,8 @@ EstimatorSpec parse_estimator_spec(std::string_view spec,
 std::unique_ptr<Estimator> make_estimator(
     std::string_view spec, const std::vector<traffic::TrafficClass>& classes,
     int num_pops, const EstimatorOptions& defaults) {
-  const EstimatorSpec parsed = parse_estimator_spec(spec, defaults);
-  if (parsed.kind == "ewma")
-    return std::make_unique<EwmaEstimator>("ewma", classes, num_pops,
-                                           parsed.options);
-  if (parsed.kind == "holt-winters")
-    return std::make_unique<HoltWintersEstimator>(classes, num_pops,
-                                                  parsed.options);
-  if (parsed.kind == "var-ewma")
-    return std::make_unique<VarEwmaEstimator>(classes, num_pops, parsed.options);
-  reject(spec, "unknown estimator kind '" + parsed.kind + "'");
+  return std::make_unique<Estimator>(parse_estimator_spec(spec, defaults),
+                                     classes, num_pops);
 }
 
 double estimation_error(const traffic::TrafficMatrix& estimate,

@@ -7,22 +7,20 @@
 // so an estimator folds those sketches into a TrafficMatrix each control
 // interval, mapped back onto each class's ordered (ingress, egress) pair.
 //
-// Estimation is pluggable behind the abstract `Estimator` interface
-// (DESIGN.md §15): the control loop, the replicated control plane, and
-// nwlbctl all construct estimators through `make_estimator(spec)` where
-// `spec` is `kind[:key=value[,key=value]...]`.  Registered kinds:
+// One class serves both estimator kinds.  It is built through
+// `make_estimator(spec)`, where `spec` is `kind[:key=value[,key=value]...]`;
+// the control loop, the replicated control plane, and nwlbctl all select
+// the kind by spec string (DESIGN.md §15).  Kinds:
 //
-//   * `ewma`         — one EWMA per class (alpha = 2/(window+1)).  The
+//   * `ewma`     — one EWMA per class (alpha = 2/(window+1)).  The
 //     paper-faithful near-stationary baseline.
-//   * `holt-winters` — double exponential smoothing (level + trend): the
-//     one-step forecast `level + trend` tracks ramps that a plain EWMA
-//     chronically lags.
-//   * `var-ewma`     — EWMA level plus an EWMA of the squared innovation;
-//     each class's estimate is inflated by `headroom_sigmas·σ̂` (capped)
-//     so the LP provisions burst headroom where the traffic is actually
-//     bursty.  The burst-aware choice for self-similar traffic.
+//   * `var-ewma` — the same EWMA level plus an EWMA of the squared
+//     innovation; each class's estimate is inflated by
+//     `headroom_sigmas·σ̂` (capped) so the LP provisions burst headroom
+//     where the traffic is actually bursty.  The burst-aware choice for
+//     self-similar traffic.
 //
-// All three correct warm-up bias with an effective smoothing weight
+// Both correct warm-up bias with an effective smoothing weight
 // `max(alpha, 1/(t+1))`: the first window seeds the state directly (no
 // bias toward the all-zero initial state), yet an anomalous first window
 // (a flash crowd at boot) is forgotten at least as fast as a running
@@ -70,9 +68,9 @@ struct EstimatorOptions {
   /// volume — keeps the LP model shape fixed (see file comment).
   double support_floor = 1e-3;
 
-  /// holt-winters: trend smoothing window (beta = 2/(trend_window+1)).
-  /// var-ewma reuses it as the (slower) innovation-variance window so
-  /// headroom tracks *which classes are bursty* without jittering.
+  /// var-ewma: innovation-variance window (alpha_v = 2/(trend_window+1)),
+  /// slower than `window` so headroom tracks *which classes are bursty*
+  /// without jittering.
   int trend_window = 8;
 
   /// var-ewma only: headroom multiplier k — each class's estimate is
@@ -86,18 +84,6 @@ struct EstimatorOptions {
   /// var-ewma only: cap on the inflation as a fraction of the class
   /// estimate (0.2 = at most 1.2x the class's provisioned volume).
   double headroom_cap = 0.2;
-
-  /// var-ewma only: burst-onset trigger.  An UP innovation larger than
-  /// burst_sigmas·σ̂ snaps the class level to the observation instead of
-  /// smoothing into it — a jump that big marks a regime shift (flash
-  /// crowd, sustained episode onset), and lagging through it at alpha
-  /// costs several windows of under-provisioning.  Down moves always
-  /// smooth (over-provisioning briefly is the safe direction).  Off by
-  /// default: under heavy-tailed window noise even a 4-sigma threshold
-  /// false-triggers often enough to cost more in churn and re-tilts than
-  /// it saves — enable it for deployments whose dominant risk is flash
-  /// crowds against otherwise calm rows.
-  double burst_sigmas = 0.0;
 };
 
 /// Throws std::invalid_argument with a typed message when any field is
@@ -105,49 +91,70 @@ struct EstimatorOptions {
 /// and by spec parsing, so a bad option never gets past construction.
 void validate_estimator_options(const EstimatorOptions& options);
 
-/// Abstract traffic-matrix estimator (DESIGN.md §15).  Construct through
-/// make_estimator(); the concrete types are implementation details.
+/// Grammar accepted by make_estimator() / parse_estimator_spec().
+/// Kept in one place so every rejection message can cite it.
+std::string_view estimator_spec_grammar();
+
+/// Estimator kinds, in spec-grammar order: {ewma, var-ewma}.
+std::span<const std::string_view> estimator_kinds();
+
+struct EstimatorSpec {
+  std::string kind;
+  EstimatorOptions options;
+};
+
+/// Parses `kind[:key=value[,key=value]...]` on top of `defaults`.
+/// Keys: window, trend-window, headroom, cap, floor, scale.  Throws
+/// std::invalid_argument citing estimator_spec_grammar() on an unknown
+/// kind, unknown key, malformed pair, or out-of-domain value.
+EstimatorSpec parse_estimator_spec(std::string_view spec,
+                                   const EstimatorOptions& defaults = {});
+
+/// Traffic-matrix estimator (DESIGN.md §15).  Build it through
+/// make_estimator().
 class Estimator {
  public:
-  virtual ~Estimator() = default;
+  /// `spec.kind` must be one of estimator_kinds() and `spec.options` must
+  /// pass validate_estimator_options() (throws std::invalid_argument).
+  Estimator(const EstimatorSpec& spec,
+            const std::vector<traffic::TrafficClass>& classes, int num_pops);
 
   /// Folds one control interval's data-plane observations (indexed like
   /// the construction-time class list; sizes must match).
-  virtual void observe(std::span<const std::uint64_t> class_sessions,
-                       std::span<const std::uint64_t> class_bytes) = 0;
+  void observe(std::span<const std::uint64_t> class_sessions,
+               std::span<const std::uint64_t> class_bytes);
 
   /// The current estimate (see file comment for floor + scaling).  Valid
   /// after the first observe(); before that it is the flat floor matrix.
-  virtual traffic::TrafficMatrix estimate() const = 0;
+  traffic::TrafficMatrix estimate() const;
 
   /// Forgets all observed state: intervals_observed() back to 0, the next
   /// observe() re-seeds.  The construction-time shape is kept.
-  virtual void reset() = 0;
+  void reset();
 
   /// Smoothed sessions-per-interval forecast for one class (headroom
   /// inflation excluded — this is the tracked level, not the provisioned
   /// volume).
-  virtual double class_rate(std::size_t class_index) const = 0;
+  double class_rate(std::size_t class_index) const;
   /// Smoothed payload bytes per session for one class (0 until observed).
-  virtual double bytes_per_session(std::size_t class_index) const = 0;
+  double bytes_per_session(std::size_t class_index) const;
 
-  virtual int intervals_observed() const = 0;
-  virtual std::size_t num_classes() const = 0;
-  /// The registered spec kind this estimator was built as ("ewma", ...).
-  virtual std::string_view kind() const = 0;
-  virtual const EstimatorOptions& options() const = 0;
+  int intervals_observed() const { return intervals_; }
+  std::size_t num_classes() const { return pairs_.size(); }
+  /// The spec kind this estimator was built as ("ewma" or "var-ewma").
+  std::string_view kind() const;
+  const EstimatorOptions& options() const { return options_; }
 
   /// Total-variation distance between estimate() and `oracle` after
   /// normalizing both to unit mass (convenience for the free function).
   double estimation_error(const traffic::TrafficMatrix& oracle) const;
 
-  // --- Gossip partial hooks (estimator-agnostic; DESIGN.md §13) ---------
+  // --- Gossip partial hooks (DESIGN.md §13) -----------------------------
   //
   // The replicated control plane merges per-origin counter slices into a
-  // digest before feeding the estimator.  These hooks keep dist::Replica
-  // independent of the estimator kind: the merge is plain saturating-free
-  // uint64 addition on the *inputs*, so any deterministic estimator fed
-  // the converged digest converges across replicas automatically.
+  // digest before feeding the estimator.  The merge is plain uint64
+  // addition on the *inputs*, so replicas fed the converged digest
+  // converge for every kind.
 
   /// Starts a fresh merge window (merged sums reset to zero).
   void begin_partials();
@@ -164,30 +171,30 @@ class Estimator {
   const std::vector<std::uint64_t>& merged_bytes() const { return merged_bytes_; }
 
  private:
+  struct Pair {
+    int ingress;
+    int egress;
+  };
+  /// var-ewma: folds one class's innovation into its variance and
+  /// republishes its quantized headroom fraction.
+  void track_headroom(std::size_t c, double innovation);
+
+  EstimatorOptions options_;
+  bool var_ewma_;
+  int num_pops_;
+  double alpha_;
+  double var_alpha_;
+  std::vector<Pair> pairs_;
+  std::vector<double> mean_sessions_;  // The tracked level: EWMA, warm-up corrected.
+  std::vector<double> mean_bytes_;     // Payload bytes/interval.
+  std::vector<double> var_;            // var-ewma: innovation variance.
+  std::vector<double> headroom_;       // Provisioned fraction; 0 for ewma.
+  int intervals_ = 0;
   std::vector<std::uint64_t> merged_sessions_;
   std::vector<std::uint64_t> merged_bytes_;
 };
 
-/// Grammar accepted by make_estimator() / parse_estimator_spec().
-/// Kept in one place so every rejection message can cite it.
-std::string_view estimator_spec_grammar();
-
-/// Registered estimator kinds, in registration order.
-std::span<const std::string_view> estimator_kinds();
-
-struct EstimatorSpec {
-  std::string kind;
-  EstimatorOptions options;
-};
-
-/// Parses `kind[:key=value[,key=value]...]` on top of `defaults`.
-/// Keys: window, trend-window, headroom, cap, burst, floor, scale.  Throws
-/// std::invalid_argument citing estimator_spec_grammar() on an unknown
-/// kind, unknown key, malformed pair, or out-of-domain value.
-EstimatorSpec parse_estimator_spec(std::string_view spec,
-                                   const EstimatorOptions& defaults = {});
-
-/// The one way to build an estimator.  `classes` fixes the shape (one
+/// Parses `spec` and builds the estimator.  `classes` fixes the shape (one
 /// state slot per class, mapped to its (ingress, egress) pair); `num_pops`
 /// sizes the emitted matrix; `defaults` seeds the options the spec's
 /// key=value overrides are applied on top of.

@@ -54,9 +54,7 @@ IntervalReport ControlLoop::run_interval(std::span<const sim::SessionSpec> sessi
   // 1. Data plane: replay the interval under the installed generations.
   sim_->replay(sessions, generator);
 
-  // 2. Estimate: fold the window's ingress counters into the estimator
-  // (whatever kind the spec selected — the loop never sees past the
-  // interface).
+  // 2. Estimate: fold the window's ingress counters into the estimator.
   estimator_->observe(sim_->window_class_sessions(), sim_->window_class_bytes());
   const traffic::TrafficMatrix tm = estimator_->estimate();
   report.estimate_total = tm.total();
@@ -66,10 +64,8 @@ IntervalReport ControlLoop::run_interval(std::span<const sim::SessionSpec> sessi
   request.tm = &tm;
   request.max_solve_seconds = options_.epoch_max_seconds;
   request.objective_tolerance = options_.epoch_objective_tolerance;
-  if (options_.report_mirror_failures) {
-    request.failures.down_nodes = sim_->down_mirrors();
-    report.failures_reported = static_cast<int>(request.failures.down_nodes.size());
-  }
+  request.failures.down_nodes = sim_->down_mirrors();
+  report.failures_reported = static_cast<int>(request.failures.down_nodes.size());
 
   // 4. Re-optimize (never throws on solver trouble; worst case is the
   // patched last known-good plan with typed degraded reasons).

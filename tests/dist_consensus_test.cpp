@@ -199,7 +199,7 @@ TEST(Consensus, ConvergesUnderDropsAndDelaysWithinBoundedRounds) {
 }
 
 TEST(Consensus, DigestFedEstimatorMatchesCentralizedOracle) {
-  // The gossip merge is estimator-agnostic: for *every* registered kind,
+  // The gossip merge is estimator-agnostic: for *every* kind,
   // a replica's estimator fed the converged digest must match a single
   // centralized estimator fed the full counters bit for bit.
   for (std::string_view kind : online::estimator_kinds()) {

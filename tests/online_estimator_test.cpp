@@ -1,9 +1,7 @@
-// The pluggable Estimator API (DESIGN.md §15): the spec factory is the
-// only construction path, so these tests drive every registered kind
-// through make_estimator() — EWMA convergence and warm-up correction,
-// Holt–Winters ramp tracking, var-ewma's quantized burst headroom and
-// optional burst-onset snap, the class-support floor, scale anchoring,
-// the gossip partial hooks, and the estimator-error metric.
+// The Estimator (DESIGN.md §15), built through the spec factory for both
+// kinds — EWMA convergence and warm-up correction, var-ewma's shared
+// level and quantized burst headroom, the class-support floor, scale
+// anchoring, the gossip partial hooks, and the estimator-error metric.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -62,7 +60,7 @@ struct EstimatorFixture {
 
 TEST(EstimatorFactory, BuildsEveryRegisteredKind) {
   EstimatorFixture f;
-  ASSERT_EQ(estimator_kinds().size(), 3u);
+  ASSERT_EQ(estimator_kinds().size(), 2u);
   for (std::string_view kind : estimator_kinds()) {
     const std::unique_ptr<Estimator> est = f.make(kind);
     ASSERT_NE(est, nullptr) << kind;
@@ -77,13 +75,12 @@ TEST(EstimatorFactory, SpecOverridesApplyOnTopOfDefaults) {
   defaults.window = 9;
   defaults.scale_to_total = 123.0;
   const EstimatorSpec parsed = parse_estimator_spec(
-      "var-ewma:headroom=0.5,cap=0.1,burst=3,trend-window=12", defaults);
+      "var-ewma:headroom=0.5,cap=0.1,trend-window=12", defaults);
   EXPECT_EQ(parsed.kind, "var-ewma");
   EXPECT_EQ(parsed.options.window, 9);               // Default survives.
   EXPECT_DOUBLE_EQ(parsed.options.scale_to_total, 123.0);
   EXPECT_DOUBLE_EQ(parsed.options.headroom_sigmas, 0.5);
   EXPECT_DOUBLE_EQ(parsed.options.headroom_cap, 0.1);
-  EXPECT_DOUBLE_EQ(parsed.options.burst_sigmas, 3.0);
   EXPECT_EQ(parsed.options.trend_window, 12);
 }
 
@@ -102,6 +99,7 @@ TEST(EstimatorFactory, RejectionsCiteTheGrammar) {
     }
   };
   expect_reject("arima");                    // Unknown kind.
+  expect_reject("holt-winters");             // Unknown kind.
   expect_reject("");                         // Empty kind.
   expect_reject("ewma:gamma=1");             // Unknown key.
   expect_reject("ewma:window");              // Malformed pair (no '=').
@@ -109,7 +107,10 @@ TEST(EstimatorFactory, RejectionsCiteTheGrammar) {
   expect_reject("ewma:window=abc");          // Not a number.
   expect_reject("ewma:window=2.5");          // Integer key, fractional value.
   expect_reject("ewma:window=0");            // Out of domain.
-  expect_reject("var-ewma:burst=-1");        // Out of domain.
+  expect_reject("ewma:window=1e20");         // Beyond int range.
+  expect_reject("ewma:window=-1e300");       // Beyond int range.
+  expect_reject("ewma:trend-window=nan");    // Not finite.
+  expect_reject("var-ewma:burst=2");         // Unknown key.
   expect_reject("var-ewma:headroom=-0.1");   // Out of domain.
   expect_reject("ewma:floor=1.5");           // Out of domain.
 }
@@ -124,9 +125,6 @@ TEST(EstimatorFactory, ValidatesOptionDomains) {
   EstimatorOptions bad_trend;
   bad_trend.trend_window = 0;
   EXPECT_THROW(validate_estimator_options(bad_trend), std::invalid_argument);
-  EstimatorOptions bad_burst;
-  bad_burst.burst_sigmas = -0.5;
-  EXPECT_THROW(validate_estimator_options(bad_burst), std::invalid_argument);
 
   EstimatorFixture f;
   EXPECT_THROW(make_estimator("ewma", f.scenario.classes(), 0),
@@ -273,46 +271,7 @@ TEST(Estimator, ResetForgetsEverything) {
   }
 }
 
-// ---- Holt–Winters: level + trend ------------------------------------------
-
-TEST(HoltWinters, TracksARampCloserThanEwma) {
-  EstimatorFixture f;
-  EstimatorOptions opts;
-  opts.window = 4;
-  opts.trend_window = 4;
-  const std::unique_ptr<Estimator> hw = f.make("holt-winters", opts);
-  const std::unique_ptr<Estimator> ewma = f.make("ewma", opts);
-  // A steady linear ramp: +20% of the base per window.
-  for (int t = 0; t < 10; ++t) {
-    const double scale = (1.0 + 0.2 * t) * 1e-3;
-    hw->observe(f.window_sessions(scale), f.window_bytes(scale));
-    ewma->observe(f.window_sessions(scale), f.window_bytes(scale));
-  }
-  const double next = static_cast<double>(f.window_sessions(3.0e-3)[0]);
-  // The one-step forecast level + trend lands closer to the next ramp
-  // value than the chronically-lagging EWMA level.
-  EXPECT_LT(std::abs(hw->class_rate(0) - next),
-            std::abs(ewma->class_rate(0) - next));
-  // And the trend pushes the forecast *ahead* of the lagging EWMA.
-  EXPECT_GT(hw->class_rate(0), ewma->class_rate(0));
-}
-
-TEST(HoltWinters, CollapsingClassNeverForecastsNegative) {
-  EstimatorFixture f;
-  EstimatorOptions opts;
-  opts.window = 2;
-  opts.trend_window = 2;
-  const std::unique_ptr<Estimator> hw = f.make("holt-winters", opts);
-  // Crash from full volume to nothing: the learned negative trend must
-  // not drive the rate forecast below zero.
-  hw->observe(f.window_sessions(), f.window_bytes());
-  const std::vector<std::uint64_t> zeros(f.scenario.classes().size(), 0);
-  for (int i = 0; i < 6; ++i) hw->observe(zeros, zeros);
-  for (std::size_t c = 0; c < zeros.size(); ++c)
-    EXPECT_GE(hw->class_rate(c), 0.0) << "class " << c;
-}
-
-// ---- var-ewma: quantized burst headroom + optional snap -------------------
+// ---- var-ewma: shared level + quantized burst headroom -------------------
 
 TEST(VarEwma, SteadyFeedMatchesPlainEwmaExactly) {
   EstimatorFixture f;
@@ -362,7 +321,7 @@ TEST(VarEwma, VolatileClassGetsQuantizedCappedHeadroom) {
   const traffic::TrafficMatrix est_ew = ewma->estimate();
   const traffic::TrafficClass& volatile_cls = f.scenario.classes()[0];
   const traffic::TrafficClass& steady_cls = f.scenario.classes()[1];
-  // The tracked levels agree (same smoothing recursion)...
+  // The tracked levels agree (the same fold, up to rounding)...
   EXPECT_NEAR(ve->class_rate(0), ewma->class_rate(0),
               1e-9 * ewma->class_rate(0));
   // ...so any volume difference is pure headroom.  It must be present,
@@ -380,38 +339,6 @@ TEST(VarEwma, VolatileClassGetsQuantizedCappedHeadroom) {
   EXPECT_NEAR(est_ve.volume(steady_cls.ingress, steady_cls.egress),
               est_ew.volume(steady_cls.ingress, steady_cls.egress),
               1e-9 * est_ew.volume(steady_cls.ingress, steady_cls.egress));
-}
-
-TEST(VarEwma, BurstTriggerSnapsUpButSmoothsDown) {
-  EstimatorFixture f;
-  EstimatorOptions opts;
-  opts.window = 4;  // alpha = 0.4 once warmed up.
-  opts.burst_sigmas = 2.0;
-  const std::unique_ptr<Estimator> snap = f.make("var-ewma", opts);
-  EstimatorOptions no_burst = opts;
-  no_burst.burst_sigmas = 0.0;  // The default: trigger disabled.
-  const std::unique_ptr<Estimator> plain = f.make("var-ewma", no_burst);
-
-  const auto calm = f.window_sessions(1e-3);
-  const auto calm_bytes = f.window_bytes(1e-3);
-  for (int i = 0; i < 4; ++i) {
-    snap->observe(calm, calm_bytes);
-    plain->observe(calm, calm_bytes);
-  }
-  // Flash onset: 10x.  Sigma-hat is ~0 after a constant feed, so the
-  // jump clears any positive threshold -> the level snaps to the
-  // observation instead of lagging through the crowd at alpha.
-  const auto flash = f.window_sessions(10e-3);
-  const auto flash_bytes = f.window_bytes(10e-3);
-  snap->observe(flash, flash_bytes);
-  plain->observe(flash, flash_bytes);
-  EXPECT_DOUBLE_EQ(snap->class_rate(0), static_cast<double>(flash[0]));
-  EXPECT_LT(plain->class_rate(0), static_cast<double>(flash[0]));
-
-  // The way *down* always smooths — briefly over-provisioning after a
-  // burst ends is the safe direction, so no symmetric down-snap.
-  snap->observe(calm, calm_bytes);
-  EXPECT_GT(snap->class_rate(0), static_cast<double>(calm[0]));
 }
 
 // ---- Gossip partial hooks --------------------------------------------------

@@ -226,8 +226,8 @@ TEST(ControlLoopOptions, ValidateRejectsEveryBadField) {
 }
 
 TEST(ControlLoop, RunsWithEveryRegisteredEstimatorKind) {
-  // The loop never names a concrete estimator type: any registered spec
-  // drives an interval end to end and tracks the oracle on static traffic.
+  // The loop selects the estimator by spec: every kind drives an interval
+  // end to end and tracks the oracle on static traffic.
   for (std::string_view kind : estimator_kinds()) {
     LoopFixture f;
     ControlLoopOptions lopts;

@@ -133,7 +133,7 @@ Online control loop:
                           after bootstrap).  Combines with --failures to
                           inject faults under the live loop.
   --estimator <spec>      Estimator kind[:key=value,...]     (default ewma)
-                          Kinds: ewma | holt-winters | var-ewma.  Keys:
+                          Kinds: ewma | var-ewma.  Keys:
                           window, trend-window, headroom, cap, floor, scale.
                           e.g. --estimator=var-ewma:headroom=2,cap=0.5
   --window <n>            Estimator smoothing window, intervals (default 4)
@@ -422,45 +422,106 @@ std::vector<sim::SessionSpec> interval_sessions(
   return generator.generate_weighted(std::max(count, 1), weights);
 }
 
+/// What --live and --live --replicas share: the gravity provisioning
+/// matrix, a bootstrap epoch, the data plane under the --failures
+/// schedule, and the interval traffic.  The bootstrap controller records
+/// into `registry` only when `controller_metrics` is set (the
+/// single-controller loop keeps driving it; the replicas build their own).
+struct LiveDeployment {
+  LiveDeployment(const CliOptions& cli, const topo::Topology& topology,
+                 bool controller_metrics)
+      : opt(cli),
+        tm(traffic::gravity_matrix(
+            topology.graph,
+            traffic::paper_total_sessions(topology.graph.num_nodes()))),
+        copts(controller_options(cli, controller_metrics ? &registry : nullptr)),
+        controller(topology, tm, copts),
+        initial(controller.run({.tm = &tm})),
+        input(controller.scenario().problem(copts.architecture)),
+        // One schedule serves both planes: the simulator consumes the
+        // crash/blackhole/linkdown events, the loops the
+        // controller_crash/partition ones.
+        schedule(cli.failures.empty()
+                     ? std::nullopt
+                     : std::optional(load_schedule(cli.failures))),
+        simulator(input, initial.bundle,
+                  {.num_workers = cli.workers,
+                   .failures = schedule ? &*schedule : nullptr,
+                   .degrade = cli.fail_open ? sim::DegradePolicy::kFailOpen
+                                            : sim::DegradePolicy::kFailClosed,
+                   .fail_open_headroom = cli.headroom}),
+        generator(input.classes, {.scanners = 0}, 77),
+        bursts(make_bursts(cli, tm)) {}
+
+  /// One interval's sessions (see interval_sessions()).
+  std::vector<sim::SessionSpec> sessions(int w) {
+    return interval_sessions(generator, input.classes, bursts, opt.sessions, w);
+  }
+
+  /// Prints the closing stats line (with the drain counters when
+  /// `drain_stats`), then checks rollout conservation (exit 2) and writes
+  /// --metrics-out.
+  int finish(bool drain_stats) {
+    const sim::ReplayStats final_stats = simulator.stats();
+    const sim::RolloutStats rollout = simulator.rollout_stats();
+    std::cout << "\nsessions=" << final_stats.sessions_replayed
+              << " coverage=" << final_stats.coverage()
+              << " active_generation=" << rollout.active_generation
+              << " rollouts=" << rollout.rollouts_installed;
+    if (drain_stats)
+      std::cout << " retired=" << rollout.generations_retired
+                << " draining_sessions=" << rollout.sessions_draining_generation;
+    std::cout << " unassigned=" << rollout.sessions_unassigned << "\n";
+    // Hitless invariant: every session rode exactly one generation.
+    if (rollout.sessions_current_generation +
+                rollout.sessions_draining_generation !=
+            final_stats.sessions_replayed ||
+        rollout.sessions_unassigned != 0) {
+      std::cerr << "nwlbctl: rollout conservation violated\n";
+      return 2;
+    }
+    if (!opt.metrics_out.empty()) {
+      simulator.export_metrics(registry);
+      return write_metrics(registry, opt.metrics_out);
+    }
+    return 0;
+  }
+
+  const CliOptions& opt;
+  obs::Registry registry;
+  traffic::TrafficMatrix tm;
+  core::ControllerOptions copts;
+  core::Controller controller;
+  core::EpochResult initial;
+  core::ProblemInput input;
+  std::optional<sim::FailureSchedule> schedule;
+  sim::ReplaySimulator simulator;
+  sim::TraceGenerator generator;
+  std::optional<traffic::SelfSimilarTraffic> bursts;
+
+ private:
+  static core::ControllerOptions controller_options(const CliOptions& cli,
+                                                    obs::Registry* metrics) {
+    if (cli.sessions <= 0 || cli.epochs <= 0)
+      throw std::invalid_argument("--sessions and --epochs must be positive");
+    core::ControllerOptions out;
+    out.architecture = parse_arch(cli.arch);
+    out.scenario.max_link_load = cli.mll;
+    out.scenario.dc_factor = cli.dc;
+    out.scenario.placement = parse_placement(cli.placement);
+    out.lp.max_seconds = 10.0;  // One runaway solve degrades, never stalls.
+    out.metrics = metrics;
+    return out;
+  }
+};
+
 /// --live --replicas=N: the same estimate -> epoch -> rollout pipeline run
 /// by N controller replicas behind a leader lease.  Estimates converge by
 /// gossip over a lossy simulated bus, only the committed-lease leader
 /// emits generations, every install passes the fenced gate, and
 /// controller_crash / partition events from --failures drive failover.
 int run_replicated(const CliOptions& opt, const topo::Topology& topology) {
-  if (opt.sessions <= 0 || opt.epochs <= 0)
-    throw std::invalid_argument("--sessions and --epochs must be positive");
-  const auto tm = traffic::gravity_matrix(
-      topology.graph, traffic::paper_total_sessions(topology.graph.num_nodes()));
-  core::ControllerOptions copts;
-  copts.architecture = parse_arch(opt.arch);
-  copts.scenario.max_link_load = opt.mll;
-  copts.scenario.dc_factor = opt.dc;
-  copts.scenario.placement = parse_placement(opt.placement);
-  copts.lp.max_seconds = 10.0;  // One runaway solve degrades, never stalls.
-  obs::Registry registry;
-
-  // Bootstrap epoch from a throwaway controller built from the same
-  // deployment constants as every replica.
-  core::Controller bootstrap(topology, tm, copts);
-  const core::EpochResult initial = bootstrap.run({.tm = &tm});
-  const core::ProblemInput input = bootstrap.scenario().problem(copts.architecture);
-
-  // One schedule serves both planes: the simulator consumes the
-  // crash/blackhole/linkdown events, the replicated loop the
-  // controller_crash/partition ones.
-  std::optional<sim::FailureSchedule> schedule;
-  if (!opt.failures.empty()) schedule = load_schedule(opt.failures);
-  sim::ReplayOptions ropts;
-  if (schedule) ropts.failures = &*schedule;
-  ropts.degrade = opt.fail_open ? sim::DegradePolicy::kFailOpen
-                                : sim::DegradePolicy::kFailClosed;
-  ropts.fail_open_headroom = opt.headroom;
-  ropts.num_workers = opt.workers;
-  sim::ReplaySimulator simulator(input, initial.bundle, ropts);
-  sim::TraceConfig trace_config;
-  trace_config.scanners = 0;
-  sim::TraceGenerator generator(input.classes, trace_config, 77);
+  LiveDeployment d(opt, topology, /*controller_metrics=*/false);
 
   dist::ReplicatedLoopOptions dopts;
   dopts.replicas = opt.replicas;
@@ -470,28 +531,25 @@ int run_replicated(const CliOptions& opt, const topo::Topology& topology) {
   dopts.replica.lease_ticks = opt.lease;
   dopts.replica.estimator_spec = opt.estimator;
   dopts.replica.estimator.window = opt.estimator_window;
-  dopts.replica.estimator.scale_to_total = tm.total();
+  dopts.replica.estimator.scale_to_total = d.tm.total();
   dopts.rollout.drain_sessions = opt.drain;
-  if (schedule) dopts.faults = &*schedule;
-  dopts.metrics = &registry;
-  dist::ReplicatedControlLoop loop(topology, tm, copts, simulator,
-                                   initial.bundle, dopts);
-
-  const std::optional<traffic::SelfSimilarTraffic> bursts = make_bursts(opt, tm);
+  if (d.schedule) dopts.faults = &*d.schedule;
+  dopts.metrics = &d.registry;
+  dist::ReplicatedControlLoop loop(topology, d.tm, d.copts, d.simulator,
+                                   d.initial.bundle, dopts);
 
   std::cout << "topology=" << topology.name << " arch=" << opt.arch
             << " replicas=" << opt.replicas << " lease=" << opt.lease
             << " drop=" << opt.drop << " estimator=" << opt.estimator
             << (opt.hurst > 0.0 ? " hurst=" + std::to_string(opt.hurst) : "")
-            << (schedule ? " schedule={\n" + schedule->to_string() + "}" : "")
+            << (d.schedule ? " schedule={\n" + d.schedule->to_string() + "}" : "")
             << "\n\n";
 
   util::Table table({"Interval", "Sessions", "Leader", "Term", "Gen", "Rollout",
                      "Alive", "Heard", "Epoch"});
   for (int w = 0; w < opt.epochs; ++w) {
-    const dist::ReplicatedIntervalReport report = loop.run_interval(
-        interval_sessions(generator, input.classes, bursts, opt.sessions, w),
-        generator);
+    const dist::ReplicatedIntervalReport report =
+        loop.run_interval(d.sessions(w), d.generator);
     std::string rollout = "-";
     if (report.install_attempted)
       rollout = report.rollout.installed ? "install" : "skip";
@@ -514,86 +572,38 @@ int run_replicated(const CliOptions& opt, const topo::Topology& topology) {
         .cell(epoch);
   }
   emit(table, opt.csv);
-
-  const sim::ReplayStats final_stats = simulator.stats();
-  const sim::RolloutStats rollout = simulator.rollout_stats();
-  std::cout << "\nsessions=" << final_stats.sessions_replayed
-            << " coverage=" << final_stats.coverage()
-            << " active_generation=" << rollout.active_generation
-            << " rollouts=" << rollout.rollouts_installed
-            << " unassigned=" << rollout.sessions_unassigned << "\n";
-  if (rollout.sessions_current_generation + rollout.sessions_draining_generation !=
-          final_stats.sessions_replayed ||
-      rollout.sessions_unassigned != 0) {
-    std::cerr << "nwlbctl: rollout conservation violated\n";
-    return 2;
-  }
-  if (!opt.metrics_out.empty()) {
-    simulator.export_metrics(registry);
-    return write_metrics(registry, opt.metrics_out);
-  }
-  return 0;
+  return d.finish(/*drain_stats=*/false);
 }
 
 /// The online control loop (--live): after the bootstrap epoch the oracle
 /// matrix is never consulted again — each interval the loop replays
 /// traffic, folds the data plane's ingress counters into an EWMA estimate,
 /// re-optimizes, and rolls the fresh generation out make-before-break.
+/// --failures composes with --live: faults fire while the estimator-driven
+/// loop is in charge of both detection (mirror health) and response.
 int run_live(const CliOptions& opt, const topo::Topology& topology) {
-  if (opt.sessions <= 0 || opt.epochs <= 0)
-    throw std::invalid_argument("--sessions and --epochs must be positive");
-  const auto tm = traffic::gravity_matrix(
-      topology.graph, traffic::paper_total_sessions(topology.graph.num_nodes()));
-  core::ControllerOptions copts;
-  copts.architecture = parse_arch(opt.arch);
-  copts.scenario.max_link_load = opt.mll;
-  copts.scenario.dc_factor = opt.dc;
-  copts.scenario.placement = parse_placement(opt.placement);
-  copts.lp.max_seconds = 10.0;  // One runaway solve degrades, never stalls.
-  obs::Registry registry;
-  copts.metrics = &registry;
-  core::Controller controller(topology, tm, copts);
-  const core::EpochResult initial = controller.run({.tm = &tm});
-  const core::ProblemInput input = controller.scenario().problem(copts.architecture);
-
-  // --failures composes with --live: faults fire while the estimator-driven
-  // loop is in charge of both detection (mirror health) and response.
-  std::optional<sim::FailureSchedule> schedule;
-  if (!opt.failures.empty()) schedule = load_schedule(opt.failures);
-  sim::ReplayOptions ropts;
-  if (schedule) ropts.failures = &*schedule;
-  ropts.degrade = opt.fail_open ? sim::DegradePolicy::kFailOpen
-                                : sim::DegradePolicy::kFailClosed;
-  ropts.fail_open_headroom = opt.headroom;
-  ropts.num_workers = opt.workers;
-  sim::ReplaySimulator simulator(input, initial.bundle, ropts);
-  sim::TraceConfig trace_config;
-  trace_config.scanners = 0;
-  sim::TraceGenerator generator(input.classes, trace_config, 77);
+  LiveDeployment d(opt, topology, /*controller_metrics=*/true);
 
   online::ControlLoopOptions lopts;
   lopts.estimator = opt.estimator;
   lopts.estimator_options.window = opt.estimator_window;
-  lopts.estimator_options.scale_to_total = tm.total();
+  lopts.estimator_options.scale_to_total = d.tm.total();
   lopts.rollout.drain_sessions = opt.drain;
-  lopts.metrics = &registry;
-  online::ControlLoop loop(controller, simulator, initial.bundle, lopts);
-
-  const std::optional<traffic::SelfSimilarTraffic> bursts = make_bursts(opt, tm);
+  lopts.metrics = &d.registry;
+  online::ControlLoop loop(d.controller, d.simulator, d.initial.bundle, lopts);
 
   std::cout << "topology=" << topology.name << " arch=" << opt.arch
             << " live estimator=" << opt.estimator
             << " window=" << opt.estimator_window << " drain=" << opt.drain
             << (opt.hurst > 0.0 ? " hurst=" + std::to_string(opt.hurst) : "")
-            << (schedule ? " schedule={\n" + schedule->to_string() + "}" : "")
+            << (d.schedule ? " schedule={\n" + d.schedule->to_string() + "}" : "")
             << "\n\n";
 
   util::Table table(
       {"Interval", "Sessions", "EstTotal", "Gen", "Rollout", "Churn", "Epoch"});
   for (int w = 0; w < opt.epochs; ++w) {
-    const online::IntervalReport report = loop.run_interval(
-        interval_sessions(generator, input.classes, bursts, opt.sessions, w),
-        generator);
+    const online::IntervalReport report =
+        loop.run_interval(d.sessions(w), d.generator);
     table.row()
         .cell(w)
         .cell(static_cast<long long>(report.sessions_replayed))
@@ -606,28 +616,7 @@ int run_live(const CliOptions& opt, const topo::Topology& topology) {
                   : "ok");
   }
   emit(table, opt.csv);
-
-  const sim::ReplayStats final_stats = simulator.stats();
-  const sim::RolloutStats rollout = simulator.rollout_stats();
-  std::cout << "\nsessions=" << final_stats.sessions_replayed
-            << " coverage=" << final_stats.coverage()
-            << " active_generation=" << rollout.active_generation
-            << " rollouts=" << rollout.rollouts_installed
-            << " retired=" << rollout.generations_retired
-            << " draining_sessions=" << rollout.sessions_draining_generation
-            << " unassigned=" << rollout.sessions_unassigned << "\n";
-  // Hitless invariant: every session rode exactly one generation.
-  if (rollout.sessions_current_generation + rollout.sessions_draining_generation !=
-          final_stats.sessions_replayed ||
-      rollout.sessions_unassigned != 0) {
-    std::cerr << "nwlbctl: rollout conservation violated\n";
-    return 2;
-  }
-  if (!opt.metrics_out.empty()) {
-    simulator.export_metrics(registry);
-    return write_metrics(registry, opt.metrics_out);
-  }
-  return 0;
+  return d.finish(/*drain_stats=*/true);
 }
 
 int run(const CliOptions& opt) {
