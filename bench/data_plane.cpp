@@ -44,7 +44,7 @@
 #include "core/controller.h"
 #include "core/scenario.h"
 #include "nids/signature.h"
-#include "nids/signature_baseline.h"
+#include "oracle/signature_baseline.h"
 #include "shim/flat_table.h"
 #include "sim/replay.h"
 #include "sim/trace.h"

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,10 +43,23 @@ class NidsNode {
   std::size_t process(const PacketView& packet);
   std::size_t process(const Packet& packet) { return process(PacketView(packet)); }
 
+  /// Exactly process() on each packet in turn — same matches, detector
+  /// state, work units and packet count — but the payloads go through
+  /// SignatureEngine::count_matches_batch, whose interleaved automaton
+  /// walks hide the per-byte load latency.  Replay hands each on-path
+  /// engine all packets of a session direction in one call.  Returns the
+  /// total number of signature matches.
+  std::size_t process_batch(std::span<const PacketView> packets);
+
   /// Pre-sizes the detector state for the expected epoch volume so the
   /// per-packet path never rehashes (replay calls this on every node of
-  /// each shard it builds for a window).
+  /// each of its shards at the start of a window; capacity only grows).
   void reserve(std::size_t expected_sessions);
+
+  /// Forgets every observation and zeroes the work counters, keeping the
+  /// detector tables' capacity — how replay reuses its shards' engines
+  /// from one window to the next.
+  void clear();
 
   const std::string& name() const { return name_; }
 
@@ -61,6 +75,9 @@ class NidsNode {
   std::uint64_t packets_processed() const { return packets_; }
 
  private:
+  /// Scan, session and work accounting of one analysed packet.
+  void account(const PacketView& packet);
+
   std::string name_;
   // The automaton is large (dense transitions); shared_ptr lets many nodes
   // share one compiled rule set, as NIDS cluster deployments do.

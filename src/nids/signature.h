@@ -24,8 +24,8 @@
 //     order.
 //
 // The semantic oracle is BaselineSignatureEngine (the original node-based
-// implementation); property tests require bit-identical scan and
-// count_matches behavior.
+// implementation, kept as a test oracle in tests/oracle/); property tests
+// require bit-identical scan and count_matches behavior.
 #pragma once
 
 #include <algorithm>
@@ -72,16 +72,29 @@ class SignatureEngine {
   /// their four independent transition-load chains overlap: the single-
   /// payload loop is latency-bound (every byte's table load depends on the
   /// previous one), and interleaving is the only way to convert that
-  /// latency into throughput.  This is the form the replay data plane
-  /// drives — per-packet payloads arriving in batches.
+  /// latency into throughput.  Replay drives it through
+  /// NidsNode::process_batch, one call per on-path engine per session
+  /// direction: up to 12 packets that all have the same length, so the
+  /// lock-step loop covers every byte and only a lone leftover packet
+  /// (K ≡ 1 mod 4) takes the single-payload path.
   void count_matches_batch(const std::string_view* payloads, std::size_t* out_counts,
                            std::size_t n) const {
     const std::uint32_t* const table = table_storage_.data() + table_offset_;
     const std::uint32_t* const out_count = out_count_.data();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (std::size_t i = 0; i < n; i += 4) {
+      // A final group of two or three payloads repeats its last payload in
+      // the spare lanes: one lock-step pass costs about one dependent load
+      // chain, so the extra lanes are nearly free, while walking the group
+      // one payload at a time would cost a chain per payload.  A single
+      // leftover payload takes the plain walk.
+      const std::size_t lanes = std::min<std::size_t>(4, n - i);
+      if (lanes == 1) {
+        out_counts[i] = count_matches(payloads[i]);
+        break;
+      }
       const std::string_view p0 = payloads[i], p1 = payloads[i + 1];
-      const std::string_view p2 = payloads[i + 2], p3 = payloads[i + 3];
+      const std::string_view p2 = payloads[i + std::min<std::size_t>(2, lanes - 1)];
+      const std::string_view p3 = payloads[i + lanes - 1];
       std::uint32_t b0 = 0, b1 = 0, b2 = 0, b3 = 0;
       std::size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
       const std::size_t common = std::min(std::min(p0.size(), p1.size()),
@@ -100,10 +113,9 @@ class SignatureEngine {
       // lock-step state.
       out_counts[i] = c0 + count_tail(table, out_count, p0, common, b0);
       out_counts[i + 1] = c1 + count_tail(table, out_count, p1, common, b1);
-      out_counts[i + 2] = c2 + count_tail(table, out_count, p2, common, b2);
-      out_counts[i + 3] = c3 + count_tail(table, out_count, p3, common, b3);
+      if (lanes > 2) out_counts[i + 2] = c2 + count_tail(table, out_count, p2, common, b2);
+      if (lanes > 3) out_counts[i + 3] = c3 + count_tail(table, out_count, p3, common, b3);
     }
-    for (; i < n; ++i) out_counts[i] = count_matches(payloads[i]);
   }
 
   int num_patterns() const { return static_cast<int>(patterns_.size()); }

@@ -23,7 +23,9 @@ std::vector<double> ReplayStats::normalized_work() const {
 
 /// All mutable replay state for one shard of the session list.  A shard is
 /// replayed by exactly one worker; nothing here is shared, so the workers
-/// never synchronize until the final in-order merge.
+/// never synchronize until the final in-order merge.  The simulator keeps
+/// its shards across replay() calls and resets them at the start of each
+/// window, so the engines' tables are allocated once, not once per window.
 struct ReplaySimulator::Shard {
   std::vector<nids::NidsNode> nodes;           // One per processing node.
   std::vector<shim::TunnelReceiver> receivers; // One per processing node.
@@ -58,28 +60,22 @@ struct ReplaySimulator::Shard {
   // Reused per-direction scratch: one action per on-path node (every
   // packet of a direction shares one hash, hence one decision).
   std::vector<shim::Action> action_buf;
+  // The packets of one session direction, synthesized once and handed to
+  // every on-path engine as a batch: payload bytes and views over them.
+  std::vector<char> payload_buf;
+  std::vector<nids::PacketView> packet_buf;
   // Tunnel frame scratch, reused across frames.
   std::vector<std::byte> frame_buf;
 
   Shard(const core::ProblemInput& input,
-        const std::shared_ptr<const nids::SignatureEngine>& engine,
-        std::size_t num_generations, std::size_t expected_sessions) {
+        const std::shared_ptr<const nids::SignatureEngine>& engine) {
     const int processing = input.num_processing_nodes();
     const int num_pops = input.num_pops();
     nodes.reserve(static_cast<std::size_t>(processing));
     receivers.reserve(static_cast<std::size_t>(processing));
-    // A session touches only a few nodes (its processing node plus a
-    // mirror or two), so each tracker holds roughly its share of the
-    // window — sizing every table for the full window would zero an order
-    // of magnitude more slot memory than ever gets touched.  A node that
-    // aggregates far more (e.g. an ingress-plan datacenter) just grows,
-    // amortized in its final size.
-    const std::size_t per_node_sessions =
-        expected_sessions * 3 / static_cast<std::size_t>(std::max(processing, 1)) + 64;
     for (int id = 0; id < processing; ++id) {
       nodes.emplace_back(id < num_pops ? input.routing->graph().name(id) : "Datacenter",
                          engine);
-      nodes.back().reserve(per_node_sessions);
       receivers.emplace_back(id);
     }
     stride = static_cast<std::size_t>(processing);
@@ -87,9 +83,44 @@ struct ReplaySimulator::Shard {
     senders.resize(stride * stride);
     shim_stats.resize(static_cast<std::size_t>(num_pops));
     link_bytes.assign(input.link_capacity.size(), 0.0);
-    gen_sessions.assign(num_generations, 0);
     class_sessions.assign(input.classes.size(), 0);
     class_bytes.assign(input.classes.size(), 0);
+  }
+
+  /// Readies the shard for a window of about `expected_sessions` sessions:
+  /// empty detectors, fresh tunnel endpoints, zeroed counters.
+  void reset(std::size_t num_generations, std::size_t expected_sessions) {
+    // A session touches only a few nodes (its processing node plus a
+    // mirror or two), so each tracker holds roughly its share of the
+    // window — sizing every table for the full window would zero an order
+    // of magnitude more slot memory than ever gets touched.  A node that
+    // aggregates far more (e.g. an ingress-plan datacenter) just grows,
+    // amortized in its final size.
+    const std::size_t per_node_sessions =
+        expected_sessions * 3 / std::max<std::size_t>(stride, 1) + 64;
+    for (nids::NidsNode& node : nodes) {
+      node.clear();
+      node.reserve(per_node_sessions);
+    }
+    for (std::size_t id = 0; id < receivers.size(); ++id)
+      receivers[id] = shim::TunnelReceiver(static_cast<int>(id));
+    for (std::optional<shim::TunnelSender>& sender : senders) sender.reset();
+    for (shim::ShimStats& stats : shim_stats) stats = shim::ShimStats{};
+    std::fill(link_bytes.begin(), link_bytes.end(), 0.0);
+    packets = 0;
+    matches = 0;
+    frames_sent = 0;
+    frames_dropped = 0;
+    frames_blackholed = 0;
+    crash_skipped = 0;
+    fail_open = 0;
+    degraded_skipped = 0;
+    unassigned = 0;
+    stateful_covered = 0;
+    stateful_missed = 0;
+    gen_sessions.assign(num_generations, 0);
+    std::fill(class_sessions.begin(), class_sessions.end(), 0);
+    std::fill(class_bytes.begin(), class_bytes.end(), 0);
   }
 
   shim::TunnelSender& sender_for(std::size_t local, std::size_t remote) {
@@ -152,6 +183,8 @@ ReplaySimulator::ReplaySimulator(const core::ProblemInput& input,
   node_packets_.assign(processing, 0);
   link_bytes_.assign(input.link_capacity.size(), 0.0);
 }
+
+ReplaySimulator::~ReplaySimulator() = default;
 
 void ReplaySimulator::install_bundle(const shim::ConfigBundle& bundle) {
   install_bundle(bundle, next_index_);
@@ -282,96 +315,110 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
   // payloads influence nothing — skip materializing them.
   if (!any_action) return;
 
-  for (int k = 0; k < packets; ++k) {
-    const nids::Packet owned = generator.make_packet(session, k, direction);
-    const nids::PacketView packet(owned);
+  // Synthesize the direction's packets once; every one carries
+  // payload_bytes bytes.
+  const auto payload_bytes = static_cast<std::size_t>(session.payload_bytes);
+  const auto count = static_cast<std::size_t>(packets);
+  shard.payload_buf.resize(count * payload_bytes);
+  shard.packet_buf.resize(count);
+  for (std::size_t k = 0; k < count; ++k)
+    shard.packet_buf[k] = generator.packet_into(
+        session, static_cast<int>(k), direction,
+        std::span<char>(shard.payload_buf.data() + k * payload_bytes, payload_bytes));
+  const std::span<const nids::PacketView> batch(shard.packet_buf.data(), count);
+
+  // Local processing: each processing shim's engine takes the whole
+  // direction as one batch.  A node's analyses are sets and counters, and
+  // its work units are integer valued, so running its packets ahead of the
+  // replicated frames below leaves every node in the state the per-packet
+  // interleaving would.
+  bool any_frames = false;
+  for (std::size_t p = 0; p < path.size(); ++p) {
+    const shim::Action action = shard.action_buf[p];
+    if (action.kind == shim::Action::Kind::kProcess)
+      shard.matches += shard.nodes[static_cast<std::size_t>(path[p])].process_batch(batch);
+    else if (action.kind == shim::Action::Kind::kReplicate)
+      any_frames = true;
+  }
+  if (!any_frames) return;
+
+  // Replicated frames, fail-open and dark ranges keep the packet-major,
+  // path-minor order: tunnel sequence numbers and loss draws follow it.
+  for (std::size_t k = 0; k < count; ++k) {
+    const nids::PacketView& packet = batch[k];
     for (std::size_t p = 0; p < path.size(); ++p) {
       const topo::NodeId j = path[p];
       const shim::Action action = shard.action_buf[p];
-      switch (action.kind) {
-        case shim::Action::Kind::kProcess:
+      if (action.kind != shim::Action::Kind::kReplicate) continue;
+      const int mirror = action.mirror;
+      // Degraded operation: the health monitor flagged this mirror down
+      // in an earlier reconcile window, so the shim stops tunneling to
+      // it.  Fail-open absorbs admitted sessions locally (up to the
+      // headroom cap); otherwise the range goes dark.
+      if (mirror_down_[static_cast<std::size_t>(mirror)] != 0) {
+        if (options_.degrade == DegradePolicy::kFailOpen && fail_open_admitted) {
           shard.matches += shard.nodes[static_cast<std::size_t>(j)].process(packet);
-          break;
-        case shim::Action::Kind::kReplicate: {
-          const int mirror = action.mirror;
-          // Degraded operation: the health monitor flagged this mirror down
-          // in an earlier reconcile window, so the shim stops tunneling to
-          // it.  Fail-open absorbs admitted sessions locally (up to the
-          // headroom cap); otherwise the range goes dark.
-          if (mirror_down_[static_cast<std::size_t>(mirror)] != 0) {
-            if (options_.degrade == DegradePolicy::kFailOpen && fail_open_admitted) {
-              shard.matches += shard.nodes[static_cast<std::size_t>(j)].process(packet);
-              ++shard.fail_open;
-            } else {
-              ++shard.degraded_skipped;
-            }
-            break;
-          }
-          // Distinguishes every frame of a session for partial-severity
-          // failure draws (direction bit | path position | packet index).
-          const std::uint64_t frame_tag =
-              (direction == nids::Direction::kReverse ? 1ULL << 63 : 0ULL) |
-              (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint64_t>(k);
-          // Real tunnel framing: the frame is stamped into the reusable
-          // frame scratch (sequence numbers advance even for frames lost in
-          // transit — that is what makes the loss detectable).
-          shim::TunnelSender& sender =
-              shard.sender_for(static_cast<std::size_t>(j), static_cast<std::size_t>(mirror));
-          shard.frame_buf.resize(shim::TunnelSender::wire_size(packet.payload.size()));
-          const std::size_t frame_bytes = sender.encapsulate_into(packet, shard.frame_buf);
-          ++shard.frames_sent;
-          const auto bytes = static_cast<double>(frame_bytes);
-          shard.shim_stats[static_cast<std::size_t>(j)].count_replicated(mirror,
-                                                                         frame_bytes);
-          const topo::NodeId target_pop = input_->attach_pop_of(mirror);
-          bool link_eaten = false;
-          if (target_pop != j) {
-            for (topo::LinkId l : input_->routing->links_on_path(j, target_pop)) {
-              if (link_eaten) break;  // Dropped upstream: never reaches l.
-              shard.link_bytes[static_cast<std::size_t>(l)] += bytes;
-              if (failures) {
-                if (const FailureEvent* e =
-                        failures->link_down_at(static_cast<int>(l), session_index);
-                    e && FailureSchedule::drops_frame(*e, options_.seed, session.id,
-                                                      frame_tag))
-                  link_eaten = true;
-              }
-            }
-          }
-          if (options_.replication_loss > 0.0 &&
-              loss_rng.bernoulli(options_.replication_loss)) {
-            ++shard.frames_dropped;
-            break;  // Frame lost: the mirror never sees this packet.
-          }
-          if (link_eaten) {
-            ++shard.frames_blackholed;
-            break;
-          }
-          if (failures) {
-            // A crashed mirror eats frames outright; a blackholed one eats
-            // the event's severity fraction via stateless per-frame draws.
-            if (failures->node_crashed(mirror, session_index)) {
-              ++shard.frames_blackholed;
-              break;
-            }
-            if (const FailureEvent* bh = failures->blackhole_at(mirror, session_index);
-                bh && FailureSchedule::drops_frame(*bh, options_.seed, session.id,
-                                                   frame_tag)) {
-              ++shard.frames_blackholed;
-              break;
-            }
-          }
-          // Delivered: the mirror decapsulates and processes it inline.
-          if (auto delivered = shard.receivers[static_cast<std::size_t>(mirror)]
-                                   .try_decapsulate_view(std::span<const std::byte>(
-                                       shard.frame_buf.data(), frame_bytes))) {
-            shard.matches +=
-                shard.nodes[static_cast<std::size_t>(mirror)].process(*delivered);
-          }
-          break;
+          ++shard.fail_open;
+        } else {
+          ++shard.degraded_skipped;
         }
-        case shim::Action::Kind::kIgnore:
-          break;
+        continue;
+      }
+      // Distinguishes every frame of a session for partial-severity
+      // failure draws (direction bit | path position | packet index).
+      const std::uint64_t frame_tag =
+          (direction == nids::Direction::kReverse ? 1ULL << 63 : 0ULL) |
+          (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint64_t>(k);
+      // Real tunnel framing: the frame is stamped into the reusable
+      // frame scratch (sequence numbers advance even for frames lost in
+      // transit — that is what makes the loss detectable).
+      shim::TunnelSender& sender =
+          shard.sender_for(static_cast<std::size_t>(j), static_cast<std::size_t>(mirror));
+      shard.frame_buf.resize(shim::TunnelSender::wire_size(packet.payload.size()));
+      const std::size_t frame_bytes = sender.encapsulate_into(packet, shard.frame_buf);
+      ++shard.frames_sent;
+      const auto bytes = static_cast<double>(frame_bytes);
+      shard.shim_stats[static_cast<std::size_t>(j)].count_replicated(mirror, frame_bytes);
+      const topo::NodeId target_pop = input_->attach_pop_of(mirror);
+      bool link_eaten = false;
+      if (target_pop != j) {
+        for (topo::LinkId l : input_->routing->links_on_path(j, target_pop)) {
+          if (link_eaten) break;  // Dropped upstream: never reaches l.
+          shard.link_bytes[static_cast<std::size_t>(l)] += bytes;
+          if (failures) {
+            if (const FailureEvent* e =
+                    failures->link_down_at(static_cast<int>(l), session_index);
+                e && FailureSchedule::drops_frame(*e, options_.seed, session.id, frame_tag))
+              link_eaten = true;
+          }
+        }
+      }
+      if (options_.replication_loss > 0.0 && loss_rng.bernoulli(options_.replication_loss)) {
+        ++shard.frames_dropped;
+        continue;  // Frame lost: the mirror never sees this packet.
+      }
+      if (link_eaten) {
+        ++shard.frames_blackholed;
+        continue;
+      }
+      if (failures) {
+        // A crashed mirror eats frames outright; a blackholed one eats
+        // the event's severity fraction via stateless per-frame draws.
+        if (failures->node_crashed(mirror, session_index)) {
+          ++shard.frames_blackholed;
+          continue;
+        }
+        if (const FailureEvent* bh = failures->blackhole_at(mirror, session_index);
+            bh && FailureSchedule::drops_frame(*bh, options_.seed, session.id, frame_tag)) {
+          ++shard.frames_blackholed;
+          continue;
+        }
+      }
+      // Delivered: the mirror decapsulates and processes it inline.
+      if (auto delivered = shard.receivers[static_cast<std::size_t>(mirror)]
+                               .try_decapsulate_view(std::span<const std::byte>(
+                                   shard.frame_buf.data(), frame_bytes))) {
+        shard.matches += shard.nodes[static_cast<std::size_t>(mirror)].process(*delivered);
       }
     }
   }
@@ -543,16 +590,17 @@ void ReplaySimulator::replay(std::span<const SessionSpec> sessions,
       std::max<std::size_t>(1, std::min<std::size_t>(static_cast<std::size_t>(workers_),
                                                      std::max<std::size_t>(total, 1)));
   const std::size_t expected_sessions = total / shard_count + 1;
-  std::vector<Shard> shards;
-  shards.reserve(shard_count);
+  // Shards persist across calls; a window with fewer sessions than workers
+  // uses only the first shard_count of them.
+  while (shards_.size() < shard_count) shards_.emplace_back(*input_, engine_);
   for (std::size_t w = 0; w < shard_count; ++w)
-    shards.emplace_back(*input_, engine_, generations_.size(), expected_sessions);
+    shards_[w].reset(generations_.size(), expected_sessions);
 
   auto run_shard = [&](std::size_t w) {
     const std::size_t begin = total * w / shard_count;
     const std::size_t end = total * (w + 1) / shard_count;
     for (std::size_t s = begin; s < end; ++s)
-      replay_session(shards[w], sessions[s], base_index + s, generator);
+      replay_session(shards_[w], sessions[s], base_index + s, generator);
   };
   if (shard_count == 1) {
     run_shard(0);
@@ -564,7 +612,7 @@ void ReplaySimulator::replay(std::span<const SessionSpec> sessions,
 
   // Deterministic merge: shard index order, every accumulated double is an
   // integer-valued quantity, so the result is byte-identical to serial.
-  for (Shard& shard : shards) merge(shard);
+  for (std::size_t w = 0; w < shard_count; ++w) merge(shards_[w]);
   sessions_ += total;
   next_index_ += total;
   // One replay call = one reconcile window: verdicts computed here steer

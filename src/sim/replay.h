@@ -182,6 +182,7 @@ class ReplaySimulator {
   /// optional injected loss -> decapsulate).
   ReplaySimulator(const core::ProblemInput& input, const shim::ConfigBundle& bundle,
                   ReplayOptions options = {});
+  ~ReplaySimulator();
 
   /// Installs a fresh bundle, activating it for the next replayed session
   /// — the path a controller uses to push a patched or re-optimized
@@ -283,6 +284,9 @@ class ReplaySimulator {
   // One compiled automaton shared by every (shard, node) engine instance.
   std::shared_ptr<const nids::SignatureEngine> engine_;
   std::unique_ptr<nwlb::util::ThreadPool> pool_;  // Only when workers_ > 1.
+  // Per-shard replay state, kept across calls and reset at the start of
+  // each window; only the first min(workers, sessions) take part in one.
+  std::vector<Shard> shards_;
 
   // Health state, one monitor per processing node; mirror_down_ is the
   // frozen snapshot the shards consult during a replay call.

@@ -40,6 +40,17 @@ struct TraceConfig {
   int max_packets_per_direction = 12;
 };
 
+/// The payload filler: byte i of `out` is 'a' + splitmix64(state) % 17
+/// after i + 1 splitmix64 steps from `state`.  Printable filler keeps
+/// accidental signature collisions impossible (the corpus contains no run
+/// of lowercase base32-style filler).  On a CPU with AVX-512 F, DQ and BW
+/// (detected once) it runs eight splitmix64 lanes per step; otherwise it
+/// is fill_payload_scalar().  Both produce the same bytes for every input.
+void fill_payload(std::uint64_t state, std::span<char> out);
+
+/// The byte-at-a-time reference of fill_payload().
+void fill_payload_scalar(std::uint64_t state, std::span<char> out);
+
 class TraceGenerator {
  public:
   TraceGenerator(const std::vector<traffic::TrafficClass>& classes, TraceConfig config,

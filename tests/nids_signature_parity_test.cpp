@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "nids/signature.h"
-#include "nids/signature_baseline.h"
+#include "oracle/signature_baseline.h"
 #include "util/rng.h"
 
 namespace nwlb::nids {
@@ -128,6 +128,29 @@ TEST(SignatureParity, BatchCountsMatchPerPayloadCounts) {
   for (std::size_t i = 0; i < views.size(); ++i) {
     EXPECT_EQ(counts[i], flat.count_matches(views[i])) << "payload " << i;
     EXPECT_EQ(counts[i], baseline.count_matches(views[i])) << "payload " << i;
+  }
+}
+
+TEST(SignatureParity, BatchOfEveryRemainderMatchesPerPayloadCounts) {
+  // Every batch size 0..13 over equal and uneven lengths: a final group
+  // of two or three payloads runs in padded lock-step lanes.
+  util::Rng rng(0x2e3);
+  const SignatureEngine flat(SignatureEngine::default_rules());
+  for (const bool equal : {true, false}) {
+    for (std::size_t n = 0; n <= 13; ++n) {
+      std::vector<std::string> owned;
+      for (std::size_t i = 0; i < n; ++i) {
+        std::string payload = random_string(rng, equal ? 120 : 0, equal ? 120 : 200, 26);
+        if (i % 3 == 1) payload.replace(payload.size() / 3, 10, "metasploit");
+        owned.push_back(std::move(payload));
+      }
+      std::vector<std::string_view> views(owned.begin(), owned.end());
+      std::vector<std::size_t> counts(n + 1, ~std::size_t{0});
+      flat.count_matches_batch(views.data(), counts.data(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(counts[i], flat.count_matches(views[i])) << "n " << n << " payload " << i;
+      EXPECT_EQ(counts[n], ~std::size_t{0}) << "wrote past the batch";
+    }
   }
 }
 

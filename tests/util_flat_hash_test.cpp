@@ -91,6 +91,30 @@ TEST(FlatHash, ClearEmptiesButKeepsWorking) {
   EXPECT_EQ(*map.find(5), 50u);
 }
 
+TEST(FlatHash, ClearedEntriesNeverReappear) {
+  // clear() retires slots by epoch, leaving their bytes behind: across many
+  // clear/insert rounds over overlapping key sets, only the current
+  // round's keys may be found, iterated or counted.
+  U64FlatMap<std::uint32_t> map;
+  map.reserve(64);
+  for (std::uint64_t round = 0; round < 50; ++round) {
+    map.clear();
+    for (std::uint64_t k = round; k < round + 40; ++k) map[k * 7] += static_cast<std::uint32_t>(round);
+    EXPECT_EQ(map.size(), 40u);
+    std::size_t visited = 0;
+    map.for_each([&](std::uint64_t key, std::uint32_t value) {
+      ++visited;
+      EXPECT_GE(key, round * 7);
+      EXPECT_EQ(value, round) << "a value survived clear()";
+    });
+    EXPECT_EQ(visited, 40u);
+    if (round > 0) {
+      EXPECT_EQ(map.find((round - 1) * 7), nullptr);
+    }
+    EXPECT_EQ(map.find((round + 40) * 7), nullptr);
+  }
+}
+
 TEST(FlatHash, SequentialKeysSpreadWithoutQuadraticProbing) {
   // Session ids are sequential; mix64 must spread them so clustering does
   // not degenerate.  Sanity: a big sequential insert stays fast and exact.
