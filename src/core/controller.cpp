@@ -195,6 +195,8 @@ EpochResult Controller::run_epoch(const EpochRequest& request) {
     result.solve_seconds += attempt.assignment.lp.solve_seconds;
     result.iterations +=
         attempt.assignment.lp.iterations + attempt.assignment.lp.phase1_iterations;
+    result.phase1_iterations += attempt.assignment.lp.phase1_iterations;
+    result.refactorizations += attempt.assignment.lp.refactorizations;
     solve_status = lp::to_string(attempt.status);
     if (lp::solved(attempt.status)) {
       result.approximate = attempt.status == lp::Status::kGoodEnough;
@@ -270,6 +272,8 @@ EpochResult Controller::run_epoch(const EpochRequest& request) {
       scan_warm_basis_ = scan.lp.basis;
       result.solve_seconds += scan.lp.solve_seconds;
       result.iterations += scan.lp.iterations + scan.lp.phase1_iterations;
+      result.phase1_iterations += scan.lp.phase1_iterations;
+      result.refactorizations += scan.lp.refactorizations;
       result.scan = std::move(scan);
     } catch (const std::exception&) {
       add_reason(result, DegradedReason::kScanLpFailed);
@@ -330,6 +334,14 @@ void Controller::record_epoch(const EpochResult& result,
                "Simplex iterations across all epoch solves (both LPs)")
       .inc(static_cast<std::uint64_t>(result.iterations > 0 ? result.iterations : 0));
   metrics
+      .counter("nwlb_controller_lp_phase1_iterations_total", {},
+               "Phase-1 (feasibility) share of the simplex iterations")
+      .inc(static_cast<std::uint64_t>(result.phase1_iterations));
+  metrics
+      .counter("nwlb_controller_lp_refactorizations_total", {},
+               "Basis refactorizations across all epoch solves (both LPs)")
+      .inc(static_cast<std::uint64_t>(result.refactorizations));
+  metrics
       .histogram("nwlb_controller_solve_seconds", solve_seconds_bounds(), {},
                  "Per-epoch LP solve wall time, seconds")
       .observe(result.solve_seconds);
@@ -353,6 +365,8 @@ void Controller::record_epoch(const EpochResult& result,
           " degraded=" + (result.degraded ? "1" : "0") +
           " patched=" + (result.patched ? "1" : "0") +
           " iterations=" + std::to_string(result.iterations) +
+          " phase1=" + std::to_string(result.phase1_iterations) +
+          " refactorizations=" + std::to_string(result.refactorizations) +
           " generation=" + std::to_string(result.bundle.generation) +
           " down_nodes=" + std::to_string(failures.down_nodes.size()) +
           (reasons.empty() ? std::string() : " reason=" + reasons));

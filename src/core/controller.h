@@ -106,7 +106,9 @@ struct EpochResult {
   shim::ConfigBundle bundle;  // Generation-tagged per-PoP configs.
   std::optional<Assignment> scan;  // Scan split, when enabled.
   double solve_seconds = 0.0;      // Both LPs combined.
-  int iterations = 0;
+  int iterations = 0;              // Simplex iterations, both phases and LPs.
+  int phase1_iterations = 0;       // The phase-1 share of `iterations`.
+  int refactorizations = 0;        // Basis refactorizations, both LPs.
   bool warm_started = false;
   /// True when the session-level plan is a tolerance-certified
   /// approximation (lp::Status::kGoodEnough) rather than an exact optimum.

@@ -69,6 +69,7 @@ BasisFactor::FactorizeResult BasisFactor::factorize(const AugmentedMatrix& matri
   u_rows_.clear();
   u_vals_.clear();
   u_diag_.assign(static_cast<std::size_t>(m_), 0.0);
+  work_.resize(static_cast<std::size_t>(m_));
   pinv_.assign(static_cast<std::size_t>(m_), -1);
   porder_.assign(static_cast<std::size_t>(m_), -1);
   qorder_.assign(static_cast<std::size_t>(m_), -1);
@@ -224,38 +225,37 @@ BasisFactor::FactorizeResult BasisFactor::factorize(const AugmentedMatrix& matri
   return result;
 }
 
-void BasisFactor::ftran(std::span<double> x) const {
+void BasisFactor::ftran(std::span<double> x) {
   NWLB_CHECK_EQ(static_cast<int>(x.size()), m_, "BasisFactor::ftran: bad dimension");
-  std::vector<double> work(static_cast<std::size_t>(m_));
   for (int i = 0; i < m_; ++i)
-    work[static_cast<std::size_t>(pinv_[static_cast<std::size_t>(i)])] =
+    work_[static_cast<std::size_t>(pinv_[static_cast<std::size_t>(i)])] =
         x[static_cast<std::size_t>(i)];
   // L solve (unit diagonal).
   for (int k = 0; k < m_; ++k) {
-    const double v = work[static_cast<std::size_t>(k)];
+    const double v = work_[static_cast<std::size_t>(k)];
     if (v == 0.0) continue;
     for (int p = l_colptr_[static_cast<std::size_t>(k)];
          p < l_colptr_[static_cast<std::size_t>(k) + 1]; ++p) {
-      work[static_cast<std::size_t>(l_rows_[static_cast<std::size_t>(p)])] -=
+      work_[static_cast<std::size_t>(l_rows_[static_cast<std::size_t>(p)])] -=
           l_vals_[static_cast<std::size_t>(p)] * v;
     }
   }
   // U solve.
   for (int k = m_ - 1; k >= 0; --k) {
-    double v = work[static_cast<std::size_t>(k)];
+    double v = work_[static_cast<std::size_t>(k)];
     if (v == 0.0) continue;
     v /= u_diag_[static_cast<std::size_t>(k)];
-    work[static_cast<std::size_t>(k)] = v;
+    work_[static_cast<std::size_t>(k)] = v;
     for (int p = u_colptr_[static_cast<std::size_t>(k)];
          p < u_colptr_[static_cast<std::size_t>(k) + 1]; ++p) {
-      work[static_cast<std::size_t>(u_rows_[static_cast<std::size_t>(p)])] -=
+      work_[static_cast<std::size_t>(u_rows_[static_cast<std::size_t>(p)])] -=
           u_vals_[static_cast<std::size_t>(p)] * v;
     }
   }
   // Map factorization steps back to basis positions.
   for (int k = 0; k < m_; ++k)
     x[static_cast<std::size_t>(qorder_[static_cast<std::size_t>(k)])] =
-        work[static_cast<std::size_t>(k)];
+        work_[static_cast<std::size_t>(k)];
   // Apply eta inverses in creation order.
   for (const EtaVector& eta : etas_) {
     const double xr = x[static_cast<std::size_t>(eta.pivot_pos)] / eta.pivot_value;
@@ -266,7 +266,7 @@ void BasisFactor::ftran(std::span<double> x) const {
   }
 }
 
-void BasisFactor::btran(std::span<double> x) const {
+void BasisFactor::btran(std::span<double> x) {
   NWLB_CHECK_EQ(static_cast<int>(x.size()), m_, "BasisFactor::btran: bad dimension");
   // Apply eta transpose inverses in reverse creation order.
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
@@ -276,34 +276,33 @@ void BasisFactor::btran(std::span<double> x) const {
     x[static_cast<std::size_t>(it->pivot_pos)] = v / it->pivot_value;
   }
   // Permute basis positions into factorization steps.
-  std::vector<double> work(static_cast<std::size_t>(m_));
   for (int k = 0; k < m_; ++k)
-    work[static_cast<std::size_t>(k)] =
+    work_[static_cast<std::size_t>(k)] =
         x[static_cast<std::size_t>(qorder_[static_cast<std::size_t>(k)])];
   // U^T solve (lower triangular in step coordinates).
   for (int k = 0; k < m_; ++k) {
-    double v = work[static_cast<std::size_t>(k)];
+    double v = work_[static_cast<std::size_t>(k)];
     for (int p = u_colptr_[static_cast<std::size_t>(k)];
          p < u_colptr_[static_cast<std::size_t>(k) + 1]; ++p) {
       v -= u_vals_[static_cast<std::size_t>(p)] *
-           work[static_cast<std::size_t>(u_rows_[static_cast<std::size_t>(p)])];
+           work_[static_cast<std::size_t>(u_rows_[static_cast<std::size_t>(p)])];
     }
-    work[static_cast<std::size_t>(k)] = v / u_diag_[static_cast<std::size_t>(k)];
+    work_[static_cast<std::size_t>(k)] = v / u_diag_[static_cast<std::size_t>(k)];
   }
   // L^T solve (upper triangular in step coordinates, unit diagonal).
   for (int k = m_ - 1; k >= 0; --k) {
-    double v = work[static_cast<std::size_t>(k)];
+    double v = work_[static_cast<std::size_t>(k)];
     for (int p = l_colptr_[static_cast<std::size_t>(k)];
          p < l_colptr_[static_cast<std::size_t>(k) + 1]; ++p) {
       v -= l_vals_[static_cast<std::size_t>(p)] *
-           work[static_cast<std::size_t>(l_rows_[static_cast<std::size_t>(p)])];
+           work_[static_cast<std::size_t>(l_rows_[static_cast<std::size_t>(p)])];
     }
-    work[static_cast<std::size_t>(k)] = v;
+    work_[static_cast<std::size_t>(k)] = v;
   }
-  // Undo the row permutation: y[original_row] = work[pivot step].
+  // Undo the row permutation: y[original_row] = work_[pivot step].
   for (int i = 0; i < m_; ++i)
     x[static_cast<std::size_t>(i)] =
-        work[static_cast<std::size_t>(pinv_[static_cast<std::size_t>(i)])];
+        work_[static_cast<std::size_t>(pinv_[static_cast<std::size_t>(i)])];
 }
 
 bool BasisFactor::update(int pos, std::span<const double> w, double pivot_tol) {

@@ -54,12 +54,13 @@ class BasisFactor {
                             double pivot_tol);
 
   /// Solves B x = b in place; `x` enters holding b (dense, size m) and
-  /// leaves holding the solution, indexed by *basis position*.
-  void ftran(std::span<double> x) const;
+  /// leaves holding the solution, indexed by *basis position*.  Uses the
+  /// factor's own workspace, so a factor serves one solve at a time.
+  void ftran(std::span<double> x);
 
   /// Solves B^T y = c in place; `x` enters holding c indexed by basis
-  /// position and leaves holding y indexed by row.
-  void btran(std::span<double> x) const;
+  /// position and leaves holding y indexed by row.  Same workspace rule.
+  void btran(std::span<double> x);
 
   /// Records the exchange "basis position `pos` replaced; new column has
   /// FTRAN image `w` (dense, size m)". Returns false when |w[pos]| is below
@@ -93,6 +94,7 @@ class BasisFactor {
   std::vector<int> qorder_; // qorder_[k] = basis position factored at step k.
   std::vector<int> qinv_;   // qinv_[basis position] = factorization step.
   std::vector<EtaVector> etas_;
+  std::vector<double> work_;  // FTRAN/BTRAN scratch in step coordinates (m).
 };
 
 }  // namespace nwlb::lp

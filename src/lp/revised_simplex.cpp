@@ -148,14 +148,13 @@ class Simplex {
     stat_.assign(static_cast<std::size_t>(num_cols_), VStat::kAtLower);
     work_.assign(static_cast<std::size_t>(matrix_.num_rows), 0.0);
 
-    use_devex_ = opt_.pricing == Pricing::kSteepestEdge;
-    if (use_devex_) {
-      d_.assign(static_cast<std::size_t>(num_cols_), 0.0);
-      ref_weight_.assign(static_cast<std::size_t>(num_cols_), 1.0);
-      alpha_.assign(static_cast<std::size_t>(num_cols_), 0.0);
-      alpha_touched_.reserve(static_cast<std::size_t>(num_cols_));
-      pivot_row_.assign(static_cast<std::size_t>(m), 0.0);
-    }
+    d_.assign(static_cast<std::size_t>(num_cols_), 0.0);
+    ref_weight_.assign(static_cast<std::size_t>(num_cols_), 1.0);
+    alpha_.assign(static_cast<std::size_t>(num_cols_), 0.0);
+    alpha_touched_.assign(row_col_.size() + static_cast<std::size_t>(m), 0);
+    pivot_row_.assign(static_cast<std::size_t>(m), 0.0);
+    candidates_.reserve(static_cast<std::size_t>(num_cols_));
+    in_candidates_.assign(static_cast<std::size_t>(num_cols_), 0);
     if (opt_.priority_columns != nullptr && !opt_.priority_columns->empty()) {
       focus_.assign(static_cast<std::size_t>(num_cols_), 0);
       for (const int j : *opt_.priority_columns) {
@@ -204,12 +203,13 @@ class Simplex {
   /// Cold-start crash: every equality row's logical is fixed at (0,0), so
   /// the all-logical basis starts phase 1 with one infeasibility per
   /// equality row — for the nwlb formulations that is one per traffic
-  /// class, and partial pricing took hundreds of thousands of degenerate
-  /// pivots to clear them (the "TiNet blowup").  Instead, seat in each
-  /// equality row a structural column whose only equality-row nonzero is
-  /// that row: the chosen block is diagonal across equality rows, hence
-  /// trivially nonsingular together with the remaining logicals, and the
-  /// crash removes the whole equality block from phase 1 up front.
+  /// class, and the solver's original partial pricing took hundreds of
+  /// thousands of degenerate pivots to clear them (the "TiNet blowup").
+  /// Instead, seat in each equality row a structural column whose only
+  /// equality-row nonzero is that row: the chosen block is diagonal across
+  /// equality rows, hence trivially nonsingular together with the
+  /// remaining logicals, and the crash removes the whole equality block
+  /// from phase 1 up front.
   void crash_equality_rows() {
     const int n = matrix_.num_structural;
     const int m = matrix_.num_rows;
@@ -354,8 +354,35 @@ class Simplex {
 
   // ---- Steepest-edge (Devex reference framework) machinery -------------
 
+  /// Dual infeasibility of column j under its maintained reduced cost:
+  /// |d_j| when moving j off its resting point improves the objective,
+  /// 0 otherwise (basic columns included).
+  double violation(std::size_t j) const {
+    const double dj = d_[j];
+    switch (stat_[j]) {
+      case VStat::kAtLower:
+        return dj < -opt_.optimality_tol ? -dj : 0.0;
+      case VStat::kAtUpper:
+        return dj > opt_.optimality_tol ? dj : 0.0;
+      case VStat::kFree:
+        return std::abs(dj) > opt_.optimality_tol ? std::abs(dj) : 0.0;
+      case VStat::kBasic:
+        break;
+    }
+    return 0.0;
+  }
+
+  /// Adds column j to the pricing candidate set unless it is already in.
+  void add_candidate(int j) {
+    const std::size_t uj = static_cast<std::size_t>(j);
+    if (in_candidates_[uj] != 0) return;
+    in_candidates_[uj] = 1;
+    candidates_.push_back(j);
+  }
+
   /// Recomputes every nonbasic reduced cost exactly from a fresh BTRAN of
-  /// the basic cost vector.  Called at phase entry, after every
+  /// the basic cost vector, and rebuilds the candidate set as exactly the
+  /// dual-infeasible columns.  Called at phase entry, after every
   /// refactorization, and whenever the maintained values fail the
   /// entering-column hygiene check.
   void refresh_duals(bool phase1) {
@@ -363,12 +390,12 @@ class Simplex {
     y_.assign(static_cast<std::size_t>(m), 0.0);
     for (int i = 0; i < m; ++i) y_[static_cast<std::size_t>(i)] = basic_cost(i, phase1);
     factor_.btran(y_);
+    candidates_.clear();
     for (int j = 0; j < num_cols_; ++j) {
-      if (stat_[static_cast<std::size_t>(j)] == VStat::kBasic) {
-        d_[static_cast<std::size_t>(j)] = 0.0;
-        continue;
-      }
-      d_[static_cast<std::size_t>(j)] = column_cost(j, phase1) - matrix_.dot(j, y_);
+      const std::size_t uj = static_cast<std::size_t>(j);
+      d_[uj] = stat_[uj] == VStat::kBasic ? 0.0 : column_cost(j, phase1) - matrix_.dot(j, y_);
+      in_candidates_[uj] = violation(uj) != 0.0 ? 1 : 0;
+      if (in_candidates_[uj] != 0) candidates_.push_back(j);
     }
     duals_fresh_ = true;
   }
@@ -385,57 +412,65 @@ class Simplex {
     bool gap_unbounded = false;    // An eligible column has infinite range.
   };
 
-  /// Devex pricing over the maintained reduced costs: picks the eligible
-  /// column maximizing d_j^2 / ref_weight_j.  In Bland mode returns the
-  /// smallest-index eligible column instead.  When the per-class focus is
-  /// active only focused columns (changed classes + all logicals) are
-  /// scanned; the caller widens to a full scan before declaring optimality.
+  /// Devex pricing over the candidate set: picks the eligible column
+  /// maximizing d_j^2 / ref_weight_j, ties to the smallest index.  In Bland
+  /// mode returns the smallest-index eligible column instead.  When the
+  /// per-class focus is active only focused columns (changed classes + all
+  /// logicals) are priced; the caller widens to every column before
+  /// declaring optimality.  The set is a superset of the dual-infeasible
+  /// columns, so this picks exactly what a scan of all n + m columns would;
+  /// columns found no longer eligible are dropped, compacting the list in
+  /// place (focused-out ones are kept for the widening pass).
   PriceResult price_devex(bool bland) {
     PriceResult pr;
     pr.scanned_all = !focus_active_;
+    const bool want_gap = opt_.objective_tolerance > 0.0;
     double best_score = 0.0;
-    for (int j = 0; j < num_cols_; ++j) {
+    std::size_t kept = 0;
+    for (const int j : candidates_) {
       const std::size_t uj = static_cast<std::size_t>(j);
-      if (focus_active_ && focus_[uj] == 0) continue;
-      const VStat s = stat_[uj];
-      if (s == VStat::kBasic) continue;
+      if (focus_active_ && focus_[uj] == 0) {
+        candidates_[kept++] = j;
+        continue;
+      }
+      const double v = violation(uj);
+      if (v == 0.0) {
+        in_candidates_[uj] = 0;
+        continue;
+      }
+      candidates_[kept++] = j;
+      if (want_gap) {
+        const double range = ub_[uj] - lb_[uj];
+        if (std::isfinite(range)) {
+          pr.gap += v * range;
+        } else {
+          pr.gap_unbounded = true;
+        }
+      }
       const double dj = d_[uj];
-      double violation = 0.0;
-      if (s == VStat::kAtLower) {
-        if (dj < -opt_.optimality_tol) violation = -dj;
-      } else if (s == VStat::kAtUpper) {
-        if (dj > opt_.optimality_tol) violation = dj;
-      } else {  // kFree
-        if (std::abs(dj) > opt_.optimality_tol) violation = std::abs(dj);
-      }
-      if (violation == 0.0) continue;
-      const double range = ub_[uj] - lb_[uj];
-      if (std::isfinite(range)) {
-        pr.gap += violation * range;
-      } else {
-        pr.gap_unbounded = true;
-      }
       if (bland) {
-        if (pr.entering < 0) {
+        if (pr.entering < 0 || j < pr.entering) {
           pr.entering = j;
           pr.d_enter = dj;
         }
         continue;
       }
       const double score = dj * dj / ref_weight_[uj];
-      if (score > best_score) {
+      if (score > best_score || (score == best_score && pr.entering >= 0 && j < pr.entering)) {
         best_score = score;
         pr.entering = j;
         pr.d_enter = dj;
       }
     }
+    candidates_.resize(kept);
     return pr;
   }
 
   /// Computes the pivot row alpha_j = a_j' (B^-T e_r) for the columns it
   /// touches, updates the Devex reference weights, and (phase 2) applies
-  /// the rank-one reduced-cost update.  Must run before the basis exchange
-  /// is recorded.  `w` is the FTRAN image of the entering column.
+  /// the rank-one reduced-cost update, adding every column it makes
+  /// eligible to the candidate set.  Must run before the basis exchange is
+  /// recorded.  `w` is the FTRAN image of the entering column.
   void pivot_row_update(int entering, int leaving_pos, double d_enter, bool phase1,
                         const std::vector<double>& w) {
     const int m = matrix_.num_rows;
@@ -444,22 +479,27 @@ class Simplex {
     pivot_row_[static_cast<std::size_t>(leaving_pos)] = 1.0;
     factor_.btran(pivot_row_);
 
-    alpha_touched_.clear();
+    // A column joins the touched list when its alpha is still zero.  The
+    // append is branch-free: each column is written one past the list's
+    // end and kept by bumping the length, so the buffer holds one slot per
+    // row entry and per logical.
+    std::size_t touched = 0;
+    const auto touch = [&](int j, double contribution) {
+      const std::size_t uj = static_cast<std::size_t>(j);
+      const double a = alpha_[uj];
+      alpha_touched_[touched] = j;
+      touched += a == 0.0 ? 1 : 0;
+      alpha_[uj] = a + contribution;
+    };
     for (int i = 0; i < m; ++i) {
       const double vi = pivot_row_[static_cast<std::size_t>(i)];
       if (std::abs(vi) <= kAlphaDrop) continue;
       // Structural columns of row i.
       for (int p = row_ptr_[static_cast<std::size_t>(i)];
-           p < row_ptr_[static_cast<std::size_t>(i) + 1]; ++p) {
-        const int j = row_col_[static_cast<std::size_t>(p)];
-        if (alpha_[static_cast<std::size_t>(j)] == 0.0) alpha_touched_.push_back(j);
-        alpha_[static_cast<std::size_t>(j)] += vi * row_val_[static_cast<std::size_t>(p)];
-      }
+           p < row_ptr_[static_cast<std::size_t>(i) + 1]; ++p)
+        touch(row_col_[static_cast<std::size_t>(p)], vi * row_val_[static_cast<std::size_t>(p)]);
       // The logical of row i is e_i: alpha is the BTRAN image itself.
-      const int logical = n + i;
-      if (alpha_[static_cast<std::size_t>(logical)] == 0.0)
-        alpha_touched_.push_back(logical);
-      alpha_[static_cast<std::size_t>(logical)] += vi;
+      touch(n + i, vi);
     }
 
     const double alpha_q = w[static_cast<std::size_t>(leaving_pos)];
@@ -469,7 +509,8 @@ class Simplex {
     const double rho = d_enter * inv_aq;
     const int leaving_var = basic_[static_cast<std::size_t>(leaving_pos)];
 
-    for (const int j : alpha_touched_) {
+    for (std::size_t k = 0; k < touched; ++k) {
+      const int j = alpha_touched_[k];
       const std::size_t uj = static_cast<std::size_t>(j);
       const double aj = alpha_[uj];
       alpha_[uj] = 0.0;  // Reset the workspace as we go.
@@ -477,7 +518,10 @@ class Simplex {
       const double ratio = aj * inv_aq;
       const double candidate = ratio * ratio * gamma_q;
       if (candidate > ref_weight_[uj]) ref_weight_[uj] = candidate;
-      if (!phase1) d_[uj] -= rho * aj;
+      if (!phase1) {
+        d_[uj] -= rho * aj;
+        if (in_candidates_[uj] == 0 && violation(uj) != 0.0) add_candidate(j);
+      }
     }
     // The leaving variable becomes nonbasic with reduced cost -rho and the
     // entering one turns basic (zero by definition).
@@ -487,6 +531,8 @@ class Simplex {
       d_[static_cast<std::size_t>(leaving_var)] = -rho;
       d_[static_cast<std::size_t>(entering)] = 0.0;
     }
+    add_candidate(leaving_var);
+    add_candidate(entering);
     if (gamma_q > kWeightResetLimit) reset_reference_framework();
     // Phase 1 recomputes duals every iteration anyway (the composite cost
     // vector changes whenever a basic variable crosses a violated bound).
@@ -494,11 +540,6 @@ class Simplex {
   }
 
   // ---- Main iteration loop ---------------------------------------------
-  Status loop(bool phase1, Solution& sol) {
-    if (use_devex_) return loop_devex(phase1, sol);
-    return loop_partial(phase1, sol);
-  }
-
   bool hit_iteration_limit(const Solution& sol) const {
     return sol.iterations + sol.phase1_iterations >= opt_.max_iterations;
   }
@@ -509,7 +550,7 @@ class Simplex {
            (total & 15) == 0 && std::chrono::steady_clock::now() >= deadline_;
   }
 
-  Status loop_devex(bool phase1, Solution& sol) {
+  Status loop(bool phase1, Solution& sol) {
     const int m = matrix_.num_rows;
     std::vector<double> w(static_cast<std::size_t>(m));
     int& iter_counter = phase1 ? sol.phase1_iterations : sol.iterations;
@@ -581,6 +622,7 @@ class Simplex {
           continue;
         }
         d_[ue] = d_exact;  // Freshly computed duals: trust the long-double dot.
+        add_candidate(entering);
       }
       const double d_enter = duals_fresh_ ? d_[ue] : d_exact;
       const bool still_eligible =
@@ -589,6 +631,7 @@ class Simplex {
           (stat_[ue] == VStat::kFree && std::abs(d_enter) > opt_.optimality_tol);
       if (!still_eligible) {
         d_[ue] = d_enter;
+        add_candidate(entering);
         continue;  // Stale candidate; re-price on corrected data.
       }
 
@@ -617,102 +660,6 @@ class Simplex {
       }
       sol.refactorizations = refactor_count_;
     }
-  }
-
-  /// Legacy rotating-window partial pricing, kept verbatim as the
-  /// reference implementation (Options::pricing == kPartialDantzig) for
-  /// the steepest-edge regression tests.
-  Status loop_partial(bool phase1, Solution& sol) {
-    const int m = matrix_.num_rows;
-    std::vector<double> y(static_cast<std::size_t>(m));
-    std::vector<double> w(static_cast<std::size_t>(m));
-    int& iter_counter = phase1 ? sol.phase1_iterations : sol.iterations;
-    int stall = 0;
-    bool bland = false;
-
-    for (;;) {
-      if (hit_iteration_limit(sol)) return Status::kIterationLimit;
-      // Wall-clock budget: checked every few iterations to keep the steady
-      // state cheap; exhaustion surfaces as a distinct, recoverable status.
-      if (hit_deadline(sol)) return Status::kTimeLimit;
-      if (phase1 && infeasibility() <= opt_.feasibility_tol) return Status::kOptimal;
-
-      // Duals for the current (possibly composite) basic cost vector.
-      for (int i = 0; i < m; ++i)
-        y[static_cast<std::size_t>(i)] = basic_cost(i, phase1);
-      factor_.btran(y);
-
-      const auto [entering, d_enter] = price_partial(y, phase1, bland);
-      if (entering < 0) return Status::kOptimal;
-      const int sigma = direction_of(entering, d_enter);
-
-      // FTRAN the entering column.
-      std::fill(w.begin(), w.end(), 0.0);
-      matrix_.scatter(entering, 1.0, w);
-      factor_.ftran(w);
-
-      const RatioResult rr = ratio_test(entering, sigma, w, phase1, bland);
-      if (!rr.bounded) {
-        return phase1 ? Status::kNumericalFailure : Status::kUnbounded;
-      }
-      apply_step(entering, sigma, rr, w);
-      ++iter_counter;
-
-      if (rr.step < kTiny) {
-        if (++stall > opt_.stall_limit) bland = true;
-      } else {
-        stall = 0;
-      }
-
-      if (rr.leaving_pos >= 0) {
-        if (!factor_.update(rr.leaving_pos, w, opt_.pivot_tol) ||
-            factor_.num_updates() >= opt_.refactor_interval) {
-          if (!refactorize()) return Status::kNumericalFailure;
-        }
-      }
-      sol.refactorizations = refactor_count_;
-    }
-  }
-
-  // Partial pricing with a rotating cursor; in Bland mode a full scan
-  // returning the smallest-index eligible column.
-  std::pair<int, double> price_partial(const std::vector<double>& y, bool phase1,
-                                       bool bland) {
-    int best = -1;
-    double best_score = 0.0;
-    double best_d = 0.0;
-    int inspected = 0;
-    const int start = bland ? 0 : cursor_;
-    for (int k = 0; k < num_cols_; ++k) {
-      const int j = (start + k) % num_cols_;
-      const VStat s = stat_[static_cast<std::size_t>(j)];
-      if (s == VStat::kBasic) continue;
-      const double cj = phase1 ? 0.0 : cost_[static_cast<std::size_t>(j)];
-      const double d = cj - matrix_.dot(j, y);
-      bool eligible = false;
-      if (s == VStat::kAtLower) {
-        eligible = d < -opt_.optimality_tol;
-      } else if (s == VStat::kAtUpper) {
-        eligible = d > opt_.optimality_tol;
-      } else {  // kFree
-        eligible = std::abs(d) > opt_.optimality_tol;
-      }
-      if (!eligible) continue;
-      if (bland) {
-        // Bland's rule: smallest index overall; the scan from 0 guarantees it.
-        cursor_ = (j + 1) % num_cols_;
-        return {j, d};
-      }
-      const double score = std::abs(d);
-      if (score > best_score) {
-        best_score = score;
-        best = j;
-        best_d = d;
-      }
-      if (++inspected >= opt_.pricing_block && best >= 0) break;
-    }
-    if (best >= 0) cursor_ = (best + 1) % num_cols_;
-    return {best, best_d};
   }
 
   static int direction_of(int, double d) { return d < 0.0 ? +1 : -1; }
@@ -831,6 +778,7 @@ class Simplex {
       stat_[je] = (sigma > 0) ? VStat::kAtUpper : VStat::kAtLower;
       // Snap exactly onto the bound to avoid drift.
       x_[je] = (stat_[je] == VStat::kAtUpper) ? ub_[je] : lb_[je];
+      add_candidate(entering);
       return;
     }
 
@@ -891,18 +839,21 @@ class Simplex {
   BasisFactor factor_;
   std::chrono::steady_clock::time_point deadline_{};  // Zero = no budget.
   int num_cols_ = 0;
-  int cursor_ = 0;
   int refactor_count_ = 0;
 
   // Steepest-edge state.
-  bool use_devex_ = true;
   bool duals_fresh_ = false;
   std::vector<double> d_;           // Maintained reduced costs.
   std::vector<double> ref_weight_;  // Devex reference weights (>= 1).
   std::vector<double> alpha_;       // Pivot-row workspace (num_cols_).
-  std::vector<int> alpha_touched_;
+  std::vector<int> alpha_touched_;  // Pivot-row column list (nnz + m slots).
   std::vector<double> pivot_row_;   // BTRAN(e_r) workspace (m).
   std::vector<double> y_;           // Dual workspace (m).
+  // Pricing candidates: a superset of the dual-infeasible columns, kept by
+  // refresh_duals, the pivot-row update and every write to a d_j or a
+  // nonbasic status; in_candidates_ flags membership per column.
+  std::vector<int> candidates_;
+  std::vector<char> in_candidates_;
   std::vector<char> focus_;         // Per-class delta re-solve column mask.
   bool focus_active_ = false;
   double certified_bound_ = 0.0;    // kGoodEnough objective lower bound.

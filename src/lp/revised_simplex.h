@@ -2,10 +2,10 @@
 //
 // Two phases (composite infeasibility minimization, then the true
 // objective), sparse LU basis factorization with PFI eta updates
-// (lp/basis.h), partial pricing with a rotating window, Bland's rule as an
-// anti-cycling fallback, and warm starts from a previous Basis — the
-// feature the nwlb controller uses when re-optimizing every few minutes on
-// a new traffic matrix (§3, §8.2).
+// (lp/basis.h), Devex pricing over a maintained set of dual-infeasible
+// candidate columns, Bland's rule as an anti-cycling fallback, and warm
+// starts from a previous Basis — the feature the nwlb controller uses when
+// re-optimizing every few minutes on a new traffic matrix (§3, §8.2).
 #pragma once
 
 #include "lp/model.h"

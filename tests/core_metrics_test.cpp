@@ -3,6 +3,7 @@
 // degraded/backoff paths are distinguishable from healthy optima.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/controller.h"
@@ -32,8 +33,8 @@ struct MetricsFixture {
 TEST(ControllerMetrics, HealthyEpochsAreCounted) {
   MetricsFixture f;
   Controller controller(f.topology, f.tm, f.options());
-  controller.run({.tm = &f.tm});
-  controller.run({.tm = &f.tm});
+  const EpochResult cold = controller.run({.tm = &f.tm});
+  const EpochResult warm = controller.run({.tm = &f.tm});
   EXPECT_EQ(f.registry.counter("nwlb_controller_epochs_total").value(), 2u);
   EXPECT_EQ(f.registry.counter("nwlb_controller_epoch_outcomes_total",
                                {{"status", "optimal"}})
@@ -43,12 +44,26 @@ TEST(ControllerMetrics, HealthyEpochsAreCounted) {
   // Second epoch reuses the first epoch's basis.
   EXPECT_EQ(f.registry.counter("nwlb_controller_epochs_warm_started_total").value(), 1u);
   EXPECT_GT(f.registry.counter("nwlb_controller_lp_iterations_total").value(), 0u);
+  // Solver internals: the phase-1 share and the refactorizations of both
+  // epochs' solves, as carried on each EpochResult.
+  EXPECT_GT(cold.phase1_iterations, 0);
+  EXPECT_LE(cold.phase1_iterations, cold.iterations);
+  EXPECT_GT(cold.refactorizations, 0);
+  EXPECT_EQ(f.registry.counter("nwlb_controller_lp_phase1_iterations_total").value(),
+            static_cast<std::uint64_t>(cold.phase1_iterations + warm.phase1_iterations));
+  EXPECT_EQ(f.registry.counter("nwlb_controller_lp_refactorizations_total").value(),
+            static_cast<std::uint64_t>(cold.refactorizations + warm.refactorizations));
   // One trace event per epoch, newest last.
   const auto events = f.registry.trace().events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events.back().scope, "controller");
   EXPECT_EQ(events.back().name, "epoch");
   EXPECT_NE(events.back().detail.find("status=optimal"), std::string::npos);
+  EXPECT_NE(events.front().detail.find(" phase1=" + std::to_string(cold.phase1_iterations) +
+                                       " refactorizations=" +
+                                       std::to_string(cold.refactorizations)),
+            std::string::npos)
+      << events.front().detail;
 }
 
 TEST(ControllerMetrics, BudgetExhaustionCountsDegradedAndBackoff) {

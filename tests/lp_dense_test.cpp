@@ -1,7 +1,7 @@
 // Hand-checked LPs for the dense tableau oracle.  Every case here is small
 // enough to verify by hand; the property suite (lp_property_test.cpp) then
 // uses this oracle to validate the revised simplex at scale.
-#include "lp/dense_simplex.h"
+#include "oracle/dense_simplex.h"
 
 #include <gtest/gtest.h>
 

@@ -6,8 +6,8 @@
 
 #include <cmath>
 
-#include "lp/dense_simplex.h"
 #include "lp/revised_simplex.h"
+#include "oracle/dense_simplex.h"
 #include "util/rng.h"
 
 namespace nwlb::lp {
@@ -95,24 +95,20 @@ TEST_P(LpAgreement, DenseAndRevisedAgree) {
   const Solution dense = solve_dense(g.model);
 
   // Every revised-simplex configuration must agree with the dense oracle:
-  // both pricing rules, with and without the crash basis, and with Bland's
-  // rule forced from the first degenerate step (stall_limit = 0).
+  // with and without the crash basis, and with Bland's rule forced from
+  // the first degenerate step (stall_limit = 0).
   struct Config {
     const char* name;
-    Pricing pricing;
     bool crash;
     int stall_limit;
   };
   const Config configs[] = {
-      {"steepest+crash", Pricing::kSteepestEdge, true, 2000},
-      {"steepest-no-crash", Pricing::kSteepestEdge, false, 2000},
-      {"steepest-bland", Pricing::kSteepestEdge, true, 0},
-      {"partial+crash", Pricing::kPartialDantzig, true, 2000},
-      {"partial-no-crash", Pricing::kPartialDantzig, false, 0},
+      {"steepest+crash", true, 2000},
+      {"steepest-no-crash", false, 2000},
+      {"steepest-bland", true, 0},
   };
   for (const Config& config : configs) {
     Options opt;
-    opt.pricing = config.pricing;
     opt.crash = config.crash;
     opt.stall_limit = config.stall_limit;
     const Solution revised = solve_revised(g.model, opt);
